@@ -14,6 +14,7 @@ from .core_combinatorics import (
     block_construction_count,
     brute_force_count,
     c_kp,
+    c_kp_table,
     catalan,
     is_132_avoiding,
     is_m_bounded,
@@ -60,7 +61,6 @@ from .state_system import (
     build_system,
     component_matrix,
     output_accessible,
-    scc_decompose,
     simple_cycle_weights,
     to_dot,
     weighted_period,

@@ -7,7 +7,9 @@ dependency graph), and ``table`` (growth-rate table over a list of m).
 
 Exit codes: 0 success, 2 validation error, 3 internal cross-check failure
 (an enumerate DISAGREE), so CI pipelines can gate on agreement.  All
-results go to stdout, diagnostics to stderr.  Rational numbers are
+results go to stdout, diagnostics to stderr.  ``growth`` and ``table``
+reject m > 520, where W's coefficients overflow a float, with exit code
+2 before any work is done.  Rational numbers are
 serialized as "p/q" strings in JSON output to avoid float loss; the
 fan-out width of ``table`` is controlled by BOUNDED_CATALAN_THREADS.
 """
@@ -23,7 +25,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 from .core_combinatorics import DEFAULT_ORACLE_CAP, brute_force_count
 from .gf_solver import dp_counts, generating_function, recurrence, recurrence_order_bound
-from .growth_analysis import DEFAULT_TOL, full_growth_report, growth_constants
+from .growth_analysis import (
+    DEFAULT_TOL,
+    check_numeric_range,
+    full_growth_report,
+    growth_constants,
+)
 from .polynomial_algebra import series_coeffs
 from .state_system import build_system, output_accessible, to_dot
 
@@ -230,6 +237,8 @@ def cmd_graph(args) -> int:
 
 def cmd_table(args) -> int:
     ms = parse_m_list(args.m_list)
+    for m in ms:
+        check_numeric_range(m)
     width_env = os.environ.get("BOUNDED_CATALAN_THREADS")
     width = int(width_env) if width_env else min(4, len(ms))
     if width < 1:

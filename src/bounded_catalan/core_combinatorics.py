@@ -183,6 +183,30 @@ def c_kp(k: int, p) -> int:
     return quotient
 
 
+def c_kp_table(m: int) -> tuple[tuple[int, ...], ...]:
+    """The values c_kp(k, p) for k = 1..m (rows) and p = 0, ..., m-1, inf
+    (columns, inf last).
+
+    Each row runs the Catalan-triangle sum of ``c_kp`` as prefix sums over
+    d, so the table costs O(m^2) binomials instead of the O(m^3) that m^2
+    separate ``c_kp`` calls would.  ``c_kp`` stays the oracle it is
+    checked against.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    rows = [(1,) * (m + 1)]
+    for k in range(2, m + 1):
+        row = [0]
+        total = 0
+        for p in range(1, k - 1):
+            total += p * comb(2 * k - p - 3, k - 2)
+            quotient, remainder = divmod(total, k - 1)
+            assert remainder == 0, "Catalan-triangle sum must be divisible by k-1"
+            row.append(quotient)
+        rows.append(tuple(row) + (catalan(k - 1),) * (m + 2 - k))
+    return tuple(rows)
+
+
 def block_construction_count(m: int, n: int) -> int:
     """Size of the block-construction family: catalan(m-1) ** (n // (m+1)).
 

@@ -30,7 +30,7 @@ from .polynomial_algebra import (
     _solve_sparse_int,
     rf_reduce,
 )
-from .state_system import State, StateSystem, build_system
+from .state_system import State, StateSystem, build_system, dependency_closure
 
 __all__ = [
     "CountTable",
@@ -125,18 +125,6 @@ class Recurrence:
 # ---------------------------------------------------------------------------
 
 
-def _dependency_closure(sys: StateSystem, targets: set[int]) -> set[int]:
-    seen = set(targets)
-    frontier = list(targets)
-    while frontier:
-        t = frontier.pop()
-        for s in sys.predecessors(t):
-            if s not in seen:
-                seen.add(s)
-                frontier.append(s)
-    return seen
-
-
 def _solve_states(sys: StateSystem, wanted: set[State]):
     """Solve the linear system for all states the wanted ones depend on.
 
@@ -147,7 +135,9 @@ def _solve_states(sys: StateSystem, wanted: set[State]):
     reduction happens here, the factored denominators are exact by
     construction.
     """
-    closure = _dependency_closure(sys, {sys.index[s] for s in wanted})
+    closure = dependency_closure(sys, [sys.index[s] for s in wanted])
+    ptr, src, deg = sys.pred_ptr.tolist(), sys.pred_src.tolist(), sys.pred_deg.tolist()
+    coeff = [sys.coeffs[c] for c in sys.pred_cidx.tolist()]
     dets: dict[int, list] = {}
     solution: dict[State, tuple[list, frozenset]] = {}
 
@@ -161,7 +151,7 @@ def _solve_states(sys: StateSystem, wanted: set[State]):
 
     for ci, comp in enumerate(sys.sccs):
         member_idx = [sys.index[s] for s in comp.members]
-        if member_idx[0] not in closure:
+        if not closure[member_idx[0]]:
             continue
         local = {i: j for j, i in enumerate(member_idx)}
         rhs_terms: list[list[tuple[list, frozenset]]] = []
@@ -170,13 +160,13 @@ def _solve_states(sys: StateSystem, wanted: set[State]):
         for t_i in member_idx:
             terms = [([0, 1], frozenset())]  # the x from the length-1 count
             row = {local[t_i]: [1]}
-            for s_i in sys.predecessors(t_i):
-                degree, coeff = sys.entries[(t_i, s_i)]
-                monomial = [0] * degree + [coeff]
+            for e in range(ptr[t_i], ptr[t_i + 1]):
+                s_i, degree = src[e], deg[e]
+                monomial = [0] * degree + [coeff[e]]
                 if s_i in local:
                     j = local[s_i]
                     cur = row.get(j, [])
-                    entry = [0] * degree + [-coeff]
+                    entry = [0] * degree + [-coeff[e]]
                     row[j] = _add_i(cur, entry)
                 else:
                     num, ids = solution[sys.states[s_i]]

@@ -31,7 +31,7 @@ import scipy.sparse.linalg as spla
 from .core_combinatorics import catalan
 from .gf_solver import dp_counts, generating_function
 from .polynomial_algebra import real_roots_positive
-from .state_system import ComponentInfo, StateSystem, build_system
+from .state_system import ComponentInfo, StateSystem, build_system, component_edges
 
 DEFAULT_TOL = 1e-10
 
@@ -89,26 +89,19 @@ class _ComponentMatrix:
     """Numeric evaluations W_C(x) of one component's polynomial matrix."""
 
     def __init__(self, sys: StateSystem, comp: ComponentInfo):
-        members = list(comp.members)
-        local = {sys.index[s]: i for i, s in enumerate(members)}
-        rows, cols, coeffs, degs = [], [], [], []
-        for (t, s), (degree, coeff) in sys.entries.items():
-            if t in local and s in local:
-                rows.append(local[t])
-                cols.append(local[s])
-                coeffs.append(float(coeff))
-                degs.append(degree)
+        members = [sys.index[s] for s in comp.members]
+        rows, cols, pos = component_edges(sys, members)
+        order = np.lexsort((cols, rows))  # canonical CSR: columns sorted per row
+        pos = pos[order]
         self.n = len(members)
-        self._rows = np.asarray(rows, dtype=np.int64)
-        self._cols = np.asarray(cols, dtype=np.int64)
-        self._coeffs = np.asarray(coeffs, dtype=np.float64)
-        self._degs = np.asarray(degs, dtype=np.float64)
+        self._indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=self.n))))
+        self._indices = cols[order]
+        self._coeffs = sys.coeffs_float[sys.pred_cidx[pos]]
+        self._degs = sys.pred_deg[pos].astype(np.float64)
 
     def at(self, x: float) -> sp.csr_matrix:
         data = self._coeffs * np.power(x, self._degs)
-        return sp.csr_matrix(
-            (data, (self._rows, self._cols)), shape=(self.n, self.n)
-        )
+        return sp.csr_matrix((data, self._indices, self._indptr), shape=(self.n, self.n))
 
 
 def _positive(v: np.ndarray) -> np.ndarray:
@@ -245,6 +238,19 @@ def catalan_lower_bound(m: int) -> float:
     return math.exp(_log_big(catalan(m - 1)) / (m + 1))
 
 
+def check_numeric_range(m: int) -> None:
+    """Raise ValueError when the numeric W of gap bound m is not
+    representable: its largest coefficient catalan(m-1) overflows a float
+    from m = 521 on."""
+    try:
+        float(catalan(m - 1))
+    except OverflowError:
+        raise ValueError(
+            f"m = {m} is beyond the growth analysis limit m <= 520: "
+            f"catalan({m - 1}) overflows a float"
+        ) from None
+
+
 @lru_cache(maxsize=None)
 def growth_constants(m: int, tol: float = DEFAULT_TOL) -> GrowthReport:
     """Component radii, growth rates, and the growth constant alpha.
@@ -252,10 +258,12 @@ def growth_constants(m: int, tol: float = DEFAULT_TOL) -> GrowthReport:
     For m = 1 the counts are eventually constant and alpha = 1.  For
     m >= 2, alpha = max(lambda_U, lambda_V) with a dominance tie declared
     when the two rates are within 10 * tol of each other (ties are
-    reported, never silently broken).
+    reported, never silently broken).  Raises ValueError for m > 520
+    (see check_numeric_range) before building anything.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
+    check_numeric_range(m)
     lower = catalan_lower_bound(m)
     if m == 1:
         return GrowthReport(m=1, tol=tol, alpha=1.0, lower_bound=lower, rho=1.0)

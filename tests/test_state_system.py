@@ -10,7 +10,6 @@ from bounded_catalan.state_system import (
     build_system,
     component_matrix,
     output_accessible,
-    scc_decompose,
     simple_cycle_weights,
     to_dot,
     weighted_period,
@@ -105,7 +104,6 @@ def test_m1_untagged_but_built():
     assert all(c.tag is None for c in sys1.sccs)
     cyclic = [c for c in sys1.sccs if c.cyclic]
     assert sorted(c.members[0] for c in cyclic) == [(0, inf), (inf, 0)]
-    assert scc_decompose(sys1) is sys1.sccs
 
 
 def test_weighted_periods():
