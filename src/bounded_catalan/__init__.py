@@ -44,11 +44,8 @@ from .growth_analysis import (
 from .polynomial_algebra import (
     ExactPoly,
     RationalFn,
-    poly_add,
     poly_gcd,
     poly_mat_det,
-    poly_mul,
-    poly_sub,
     real_roots_positive,
     rf_reduce,
     series_coeffs,

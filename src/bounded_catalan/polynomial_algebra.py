@@ -7,6 +7,17 @@ of rational functions, power-series coefficient extraction, Sturm-sequence
 isolation of positive real roots, and fraction-free (Bareiss-style)
 elimination for polynomial matrices.
 
+Every gcd goes through ``_gcd_i``, which first tries a coprimality
+certificate: the primitive operands are reduced modulo the prime
+P = 2^61 - 1 and their gcd is taken over GF(P).  When P divides neither
+leading coefficient, the degree of that image is at least the degree of
+the gcd over Q (Brown 1971; von zur Gathen & Gerhard, *Modern Computer
+Algebra*, ch. 6), so an image of degree 0 proves the operands coprime.
+That is the common case for the generating functions here (every m >= 3
+tried), and it costs milliseconds where the integer pseudo-remainder sequence
+costs seconds.  Only when the image has positive degree, or P divides a
+leading coefficient, does the integer sequence run.
+
 The heavy elimination paths run on raw integer coefficient lists; the
 public types only wrap the results.  All operations are pure functions of
 their inputs.
@@ -17,6 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as int_gcd
 from math import lcm as int_lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 
@@ -137,29 +149,53 @@ def _prem_even_i(a: IntPoly, b: IntPoly) -> IntPoly:
     return _trim(r)
 
 
+_P = (1 << 61) - 1  # Mersenne prime modulus of the coprimality certificate
+
+
+def _gcd_degree_mod_p(a: IntPoly, b: IntPoly) -> int:
+    """Degree of gcd(a mod P, b mod P) over GF(P).
+
+    P must divide neither leading coefficient, so the images keep the
+    degrees of a and b.
+    """
+    a = [c % _P for c in a]
+    b = [c % _P for c in b]
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        db = len(b) - 1
+        inv = pow(b[-1], -1, _P)
+        body = b[:-1]
+        for i in range(len(a) - 1, db - 1, -1):
+            q = a.pop() * inv % _P
+            if q:
+                off = i - db
+                a[off:i] = [(x - q * y) % _P for x, y in zip(a[off:i], body)]
+        a, b = b, _trim(a)
+    return len(a) - 1
+
+
 def _gcd_i(a: IntPoly, b: IntPoly) -> IntPoly:
     """Primitive gcd of integer polynomials (positive leading coefficient).
 
-    Primitive pseudo-remainder sequence; denominators are cleared to
-    primitive integer polynomials before each remainder step so the
-    coefficients stay controlled.
+    Coprime operands are recognised by the modular certificate of the
+    module docstring and answered with ``[1]`` without any integer
+    remainder.  Otherwise (the image mod P has positive degree, P divides
+    a leading coefficient, or an operand is zero) a primitive
+    pseudo-remainder sequence runs; denominators are cleared to primitive
+    integer polynomials before each remainder step so the coefficients
+    stay controlled.
     """
     a, b = _primitive_i(a), _primitive_i(b)
     if not a and not b:
         raise ValueError("gcd(0, 0) is undefined")
+    if a and b and a[-1] % _P and b[-1] % _P and _gcd_degree_mod_p(a, b) == 0:
+        return [1]
     while b:
         a, b = b, _primitive_i(_prem_even_i(a, b))
     if a[-1] < 0:
         a = [-c for c in a]
     return a
-
-
-def _eval_i(a: IntPoly, x):
-    """Horner evaluation; exact for Fraction x, float for float x."""
-    acc = 0 * x
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -355,27 +391,16 @@ class RationalFn:
 
 
 # ---------------------------------------------------------------------------
-# Ring operations (module-level aliases), gcd, reduction, series
+# Gcd, reduction, series
 # ---------------------------------------------------------------------------
 
 
-def poly_add(a: ExactPoly, b: ExactPoly) -> ExactPoly:
-    return a + b
-
-
-def poly_sub(a: ExactPoly, b: ExactPoly) -> ExactPoly:
-    return a - b
-
-
-def poly_mul(a: ExactPoly, b: ExactPoly) -> ExactPoly:
-    return a * b
-
-
 def poly_gcd(a: ExactPoly, b: ExactPoly) -> ExactPoly:
-    """Monic greatest common divisor (Euclidean algorithm over Q).
+    """Monic greatest common divisor over Q.
 
-    Internally the operands are cleared to primitive integer polynomials
-    before each remainder step to keep coefficient growth in check.
+    Internally the operands are cleared to integer polynomials and handed
+    to the integer gcd: the modular coprimality certificate first, then,
+    when it does not apply, a primitive pseudo-remainder sequence.
     """
     if a.is_zero() and b.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
@@ -416,11 +441,19 @@ def rf_reduce(num: ExactPoly, den: ExactPoly) -> RationalFn:
 
 def series_coeffs(f: RationalFn, n_max: int) -> list[Fraction]:
     """First n_max + 1 Taylor coefficients of f at 0, via the linear
-    recurrence induced by the denominator.  Exact."""
+    recurrence induced by the denominator.  Exact.
+
+    When num and den are integral and den[0] == 1 (every generating
+    function built by this package) the recurrence runs on ``int`` and
+    only the results are wrapped as Fractions.
+    """
     den = f.den.coeffs
     num = f.num.coeffs
     if not den or den[0] == 0:
         raise ValueError("denominator constant term must be nonzero")
+    if den[0] == 1 and all(c.denominator == 1 for c in num + den):
+        out_int = _series_int(f.num.int_coeffs(), f.den.int_coeffs(), n_max)
+        return [Fraction(c) for c in out_int]
     d0 = den[0]
     out: list[Fraction] = []
     for n in range(n_max + 1):
@@ -428,6 +461,19 @@ def series_coeffs(f: RationalFn, n_max: int) -> list[Fraction]:
         for j in range(1, min(n, len(den) - 1) + 1):
             acc -= den[j] * out[n - j]
         out.append(Fraction(acc) / d0)
+    return out
+
+
+def _series_int(num: IntPoly, den: IntPoly, n_max: int) -> list[int]:
+    """Series coefficients of num/den for an integer den with den[0] == 1."""
+    tail = den[1:]
+    out: list[int] = []
+    for n in range(n_max + 1):
+        acc = num[n] if n < len(num) else 0
+        k = min(n, len(tail))
+        if k:
+            acc -= sum(map(mul, tail[:k], reversed(out[n - k :])))
+        out.append(acc)
     return out
 
 
@@ -451,12 +497,27 @@ def _sturm_chain(p: IntPoly) -> list[IntPoly]:
     return chain
 
 
+def _sign_at(p: IntPoly, x: Fraction) -> int:
+    """Sign of p(x) by homogeneous integer Horner.
+
+    With x = a/b and b > 0, b^d p(a/b) = sum_i c_i a^i b^(d-i) has the
+    sign of p(x) and needs no rational arithmetic.
+    """
+    a, b = x.numerator, x.denominator
+    acc = p[-1]
+    bpow = 1
+    for c in reversed(p[:-1]):
+        bpow *= b
+        acc = acc * a + c * bpow
+    return (acc > 0) - (acc < 0)
+
+
 def _variations(chain: list[IntPoly], x: Fraction) -> int:
     signs = []
     for poly in chain:
-        v = _eval_i(poly, x)
+        v = _sign_at(poly, x)
         if v != 0:
-            signs.append(1 if v > 0 else -1)
+            signs.append(v)
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -467,8 +528,9 @@ def real_roots_positive(
 
     Sturm-sequence counting isolates single-root subintervals; each root
     is then bracketed by sign bisection on the square-free part of p down
-    to width < tol.  Signs are evaluated exactly at rational points, so
-    the brackets are rigorous; the reported root is the bracket midpoint
+    to width < tol.  Signs are evaluated exactly at rational points (by
+    integer Horner on the numerator and denominator), so the brackets are
+    rigorous; the reported root is the bracket midpoint
     (or the exact point when a bisection point happens to be a root).
     Defaults to the interval (0, 1].
     """
@@ -491,17 +553,17 @@ def real_roots_positive(
 
     def refine(a: Fraction, b: Fraction) -> None:
         # exactly one root in (a, b], sf(a) != 0
-        if _eval_i(sf, b) == 0:
+        if _sign_at(sf, b) == 0:
             roots.append(float(b))
             return
-        sign_a = 1 if _eval_i(sf, a) > 0 else -1
+        sign_a = _sign_at(sf, a)
         while b - a > tol_f:
             mid = (a + b) / 2
-            v = _eval_i(sf, mid)
+            v = _sign_at(sf, mid)
             if v == 0:
                 roots.append(float(mid))
                 return
-            if (1 if v > 0 else -1) == sign_a:
+            if v == sign_a:
                 a = mid
             else:
                 b = mid
@@ -511,7 +573,7 @@ def real_roots_positive(
         count = va - vb
         if count <= 0:
             return
-        if count == 1 and _eval_i(sf, a) != 0:
+        if count == 1 and _sign_at(sf, a) != 0:
             refine(a, b)
             return
         mid = (a + b) / 2

@@ -1,5 +1,6 @@
 """Count recursion, exact linear solve, recurrences, and cross-agreement."""
 
+from fractions import Fraction
 from math import inf
 
 import pytest
@@ -139,12 +140,34 @@ def test_three_way_agreement_all_states(m):
             assert brute_force_count(m, 6, p, q) == table.values[(p, q)][6]
 
 
+@pytest.mark.parametrize("m, degree, bound", [(9, 118, 478), (10, 146, 641), (11, 177, 837)])
+def test_reduced_denominator_degree_large_m(m, degree, bound):
+    assert generating_function(m).den.degree == degree
+    assert recurrence_order_bound(m) == bound
+
+
 @pytest.mark.parametrize("m", range(1, 7))
 def test_dp_matches_series_deep(m):
     seq = dp_counts(m, 200).unrestricted()
     coeffs = series_coeffs(generating_function(m), 200)
     assert all(c.denominator == 1 for c in coeffs)
     assert [int(c) for c in coeffs] == seq
+
+
+@pytest.mark.parametrize("m", (9, 10))
+def test_dp_matches_series_large_m(m):
+    seq = dp_counts(m, 200).unrestricted()
+    assert series_coeffs(generating_function(m), 200) == seq
+
+
+@pytest.mark.parametrize("m", range(2, 11))
+def test_series_integer_route_matches_fraction_route(m):
+    gf = generating_function(m)
+    # doubling num and den keeps the function but moves den[0] to 2, off the int route
+    doubled = RationalFn(gf.num * 2, gf.den * 2)
+    coeffs = series_coeffs(gf, 300)
+    assert coeffs == series_coeffs(doubled, 300)
+    assert all(type(c) is Fraction for c in coeffs)
 
 
 def test_state_series_are_nonnegative_integers():

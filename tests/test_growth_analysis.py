@@ -2,7 +2,7 @@
 
 import pytest
 
-from bounded_catalan.gf_solver import dp_counts
+from bounded_catalan.gf_solver import dp_counts, generating_function
 from bounded_catalan.growth_analysis import (
     catalan_lower_bound,
     component_radius,
@@ -160,3 +160,37 @@ def test_full_growth_report_merges_pole_data():
     assert report.rho == dominant_pole_asymptotics(3).rho
     bare = full_growth_report(3, include_pole=False)
     assert bare.kappa is None
+
+
+# Roots of the reduced denominators in (0, 2], as float.hex: exact sign
+# evaluation fixes every bisection bracket, so the reported midpoints must
+# not move by one bit.
+POLE_DEN_ROOTS = {
+    3: [
+        "0x1.1850ac23c0000p-1",
+        "0x1.2eb5157840000p-1",
+        "0x1.0000000000000p+0",
+        "0x1.944a9f2920000p+0",
+    ],
+    5: [
+        "0x1.b3770df380000p-2",
+        "0x1.bae2392680000p-2",
+        "0x1.0000000000000p+0",
+        "0x1.1ff84bb820000p+0",
+        "0x1.bbe0403de0000p+0",
+    ],
+    8: [
+        "0x1.6f9816c580000p-2",
+        "0x1.776c8c1080000p-2",
+        "0x1.9c79f48b40000p-1",
+        "0x1.0000000000000p+0",
+        "0x1.573294ac20000p+0",
+        "0x1.a4dcd2a2e0000p+0",
+    ],
+}
+
+
+@pytest.mark.parametrize("m", sorted(POLE_DEN_ROOTS))
+def test_denominator_roots_pinned(m):
+    roots = real_roots_positive(generating_function(m).den, (0, 2), 1e-10)
+    assert [r.hex() for r in roots] == POLE_DEN_ROOTS[m]
