@@ -9,9 +9,9 @@ Exit codes: 0 success, 2 validation error, 3 internal cross-check failure
 (an enumerate DISAGREE), so CI pipelines can gate on agreement.  All
 results go to stdout, diagnostics to stderr.  ``growth`` and ``table``
 reject m > 520, where W's coefficients overflow a float, with exit code
-2 before any work is done.  Rational numbers are
-serialized as "p/q" strings in JSON output to avoid float loss; the
-fan-out width of ``table`` is controlled by BOUNDED_CATALAN_THREADS.
+2 before any work is done; ``table`` computes its m values one after
+another.  Rational numbers are serialized as "p/q" strings in JSON
+output to avoid float loss.
 """
 
 from __future__ import annotations
@@ -19,9 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .core_combinatorics import DEFAULT_ORACLE_CAP, brute_force_count
 from .gf_solver import dp_counts, generating_function, recurrence, recurrence_order_bound
@@ -239,12 +237,7 @@ def cmd_table(args) -> int:
     ms = parse_m_list(args.m_list)
     for m in ms:
         check_numeric_range(m)
-    width_env = os.environ.get("BOUNDED_CATALAN_THREADS")
-    width = int(width_env) if width_env else min(4, len(ms))
-    if width < 1:
-        raise ValidationError("BOUNDED_CATALAN_THREADS must be >= 1")
-    with ThreadPoolExecutor(max_workers=width) as pool:
-        reports = list(pool.map(lambda m: growth_constants(m, args.tol), ms))
+    reports = [growth_constants(m, args.tol) for m in ms]
     if args.format == "json":
         _emit_json([_report_payload(r) for r in reports])
         return EXIT_OK
@@ -315,7 +308,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, ValueError) as exc:
+    except ValueError as exc:
         return _fail(str(exc))
 
 

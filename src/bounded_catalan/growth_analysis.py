@@ -39,6 +39,11 @@ DEFAULT_TOL = 1e-10
 # W_C(1/4) are bounded by 3/4), so bisection can start at 1/4.
 RADIUS_LOWER = 0.25
 
+# Power-iteration caps of one Collatz-Wielandt bracket: in
+# spectral_radius_at, and at each point component_radius tests.
+SPR_MAX_STEPS = 50000
+RADIUS_MAX_STEPS = 3000
+
 
 @dataclass(frozen=True)
 class GrowthReport:
@@ -113,19 +118,20 @@ def _perron_seed(matrix: sp.csr_matrix, v0: np.ndarray) -> np.ndarray:
     """A probe vector close to the Perron vector of W + I.
 
     ARPACK for anything nontrivial; the result only seeds the certified
-    Collatz-Wielandt bracket, so a failed or sloppy solve is harmless.
+    Collatz-Wielandt bracket, so a sloppy solve is harmless and an
+    ARPACK failure falls back to v0.  Any other error propagates.
     """
     n = matrix.shape[0]
     if n < 16:
         return v0
+    shifted = matrix + sp.identity(n, format="csr")
     try:
-        shifted = matrix + sp.identity(n, format="csr")
         _, vecs = spla.eigs(shifted, k=1, which="LM", v0=v0, tol=1e-12)
-        vec = np.abs(vecs[:, 0].real)
-        if vec.max() > 0:
-            return _positive(vec)
-    except Exception:
-        pass
+    except spla.ArpackError:
+        return v0
+    vec = np.abs(vecs[:, 0].real)
+    if vec.max() > 0:
+        return _positive(vec)
     return v0
 
 
@@ -133,7 +139,7 @@ def _cw_bracket(
     matrix: sp.csr_matrix,
     v: np.ndarray,
     tol: float,
-    max_iter: int,
+    max_steps: int,
     stop_above: float | None = None,
     stop_below: float | None = None,
 ) -> tuple[float, float, np.ndarray]:
@@ -144,7 +150,7 @@ def _cw_bracket(
     early once the bracket clears ``stop_above``/``stop_below``.
     """
     best_lo, best_hi = 0.0, math.inf
-    for _ in range(max_iter):
+    for _ in range(max_steps):
         w = matrix @ v + v
         ratios = w / v
         best_lo = max(best_lo, float(ratios.min()) - 1.0)
@@ -164,7 +170,6 @@ def spectral_radius_at(
     comp: ComponentInfo,
     x: float,
     tol: float = 1e-12,
-    max_iter: int = 50000,
 ) -> float:
     """spr(W_C(x)) for x > 0, converged to a Collatz-Wielandt bracket of
     width < tol (midpoint reported)."""
@@ -175,7 +180,7 @@ def spectral_radius_at(
     cm = _ComponentMatrix(sys, comp)
     matrix = cm.at(x)
     v = _perron_seed(matrix, np.ones(cm.n))
-    lo, hi, _ = _cw_bracket(matrix, v, tol, max_iter)
+    lo, hi, _ = _cw_bracket(matrix, v, tol, SPR_MAX_STEPS)
     return 0.5 * (lo + hi)
 
 
@@ -183,7 +188,6 @@ def component_radius(
     sys: StateSystem,
     comp: ComponentInfo,
     tol: float = DEFAULT_TOL,
-    max_iter: int = 3000,
 ) -> tuple[float, float]:
     """Bracket (lo, hi) of width < tol around the component radius r_C.
 
@@ -202,7 +206,7 @@ def component_radius(
 
     matrix = cm.at(1.0)
     v = _perron_seed(matrix, ones)
-    _, hi1, v = _cw_bracket(matrix, v, 1e-13, max_iter, stop_above=1.0)
+    _, hi1, v = _cw_bracket(matrix, v, 1e-13, RADIUS_MAX_STEPS, stop_above=1.0)
     if hi1 <= 1.0 + 1e-12:
         return (1.0, 1.0)
 
@@ -212,7 +216,7 @@ def component_radius(
         matrix = cm.at(mid)
         v = _perron_seed(matrix, v)
         blo, bhi, v = _cw_bracket(
-            matrix, v, 1e-14, max_iter, stop_above=1.0, stop_below=1.0
+            matrix, v, 1e-14, RADIUS_MAX_STEPS, stop_above=1.0, stop_below=1.0
         )
         if blo > 1.0:
             hi = mid

@@ -1,6 +1,7 @@
 """CLI behavior: outputs, formats, exit codes, round-trips."""
 
 import json
+import threading
 
 import pytest
 
@@ -137,8 +138,7 @@ def test_graph_plain(capsys):
     assert "weighted_period=1" in out
 
 
-def test_table_csv(capsys, monkeypatch):
-    monkeypatch.setenv("BOUNDED_CATALAN_THREADS", "2")
+def test_table_csv(capsys):
     code, out, _ = run(capsys, ["table", "--m-list", "2-3"])
     assert code == 0
     lines = out.strip().splitlines()
@@ -153,6 +153,23 @@ def test_table_json(capsys):
     payload = json.loads(out)
     assert payload[0]["m"] == 1 and payload[0]["alpha"] == 1.0
     assert payload[1]["m"] == 2
+
+
+def test_table_runs_in_order_on_calling_thread(capsys, monkeypatch):
+    calls = []
+    real = cli.growth_constants
+
+    def recording(m, tol):
+        calls.append((m, threading.current_thread()))
+        return real(m, tol)
+
+    monkeypatch.setattr(cli, "growth_constants", recording)
+    code, out, _ = run(capsys, ["table", "--m-list", "3,2,3"])
+    assert code == 0
+    assert calls == [(m, threading.main_thread()) for m in (3, 2, 3)]
+    rows = out.strip().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["3", "2", "3"]
+    assert rows[0] == rows[2] == "3,1.827,1.691,1.827,1.189"
 
 
 def test_table_bad_m_list(capsys):

@@ -1,9 +1,13 @@
 """Perron radii, growth constants, dominant-pole asymptotics."""
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from bounded_catalan.gf_solver import dp_counts, generating_function
 from bounded_catalan.growth_analysis import (
+    _perron_seed,
     catalan_lower_bound,
     component_radius,
     dominant_pole_asymptotics,
@@ -44,6 +48,24 @@ def test_spectral_radius_strictly_increasing(m):
         ]
         for a, b in zip(values, values[1:]):
             assert a < b + 1e-12
+
+
+def test_perron_seed_falls_back_only_on_arpack_errors(monkeypatch):
+    matrix = sp.csr_matrix(np.ones((16, 16)))
+    v0 = np.ones(16)
+
+    def raising(exc):
+        def eigs(*args, **kwargs):
+            raise exc
+
+        return eigs
+
+    no_convergence = spla.ArpackNoConvergence("no convergence", None, None)
+    monkeypatch.setattr(spla, "eigs", raising(no_convergence))
+    assert _perron_seed(matrix, v0) is v0
+    monkeypatch.setattr(spla, "eigs", raising(TypeError("program fault")))
+    with pytest.raises(TypeError):
+        _perron_seed(matrix, v0)
 
 
 def test_component_radius_exact_ones():
