@@ -12,10 +12,11 @@ Numerics: spectral radii are bracketed by Collatz-Wielandt ratios
 (min_i (Bv)_i / v_i <= spr(B) <= max_i (Bv)_i / v_i for any positive v),
 which are valid bounds regardless of how the probe vector v was obtained.
 Power iteration runs on W_C(x) + I so that periodic components cannot
-stall it, and for large components the probe vector is seeded by a sparse
-ARPACK solve.  Bisection on x decides the sign of phi_C(x) - 1 through
-those certified bounds; only when a point is numerically indistinguishable
-from the radius does it fall back to the midpoint estimate.
+stall it.  Bisection on x decides the sign of phi_C(x) - 1 through those
+certified bounds, and the probe vector is warm-started: each step iterates
+on from the vector the previous step ended with.  Only when a point is
+numerically indistinguishable from the radius does bisection fall back to
+the midpoint estimate.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .core_combinatorics import catalan
 from .gf_solver import dp_counts, generating_function
@@ -114,27 +114,6 @@ def _positive(v: np.ndarray) -> np.ndarray:
     return np.maximum(v, 1e-250)
 
 
-def _perron_seed(matrix: sp.csr_matrix, v0: np.ndarray) -> np.ndarray:
-    """A probe vector close to the Perron vector of W + I.
-
-    ARPACK for anything nontrivial; the result only seeds the certified
-    Collatz-Wielandt bracket, so a sloppy solve is harmless and an
-    ARPACK failure falls back to v0.  Any other error propagates.
-    """
-    n = matrix.shape[0]
-    if n < 16:
-        return v0
-    shifted = matrix + sp.identity(n, format="csr")
-    try:
-        _, vecs = spla.eigs(shifted, k=1, which="LM", v0=v0, tol=1e-12)
-    except spla.ArpackError:
-        return v0
-    vec = np.abs(vecs[:, 0].real)
-    if vec.max() > 0:
-        return _positive(vec)
-    return v0
-
-
 def _cw_bracket(
     matrix: sp.csr_matrix,
     v: np.ndarray,
@@ -172,15 +151,19 @@ def spectral_radius_at(
     tol: float = 1e-12,
 ) -> float:
     """spr(W_C(x)) for x > 0, converged to a Collatz-Wielandt bracket of
-    width < tol (midpoint reported)."""
+    width < tol (midpoint reported).  Raises RuntimeError when the
+    bracket is still wider than tol after SPR_MAX_STEPS steps."""
     if not comp.cyclic:
         raise ValueError("spectral radius is defined on cyclic components")
     if x <= 0:
         raise ValueError("x must be positive")
     cm = _ComponentMatrix(sys, comp)
-    matrix = cm.at(x)
-    v = _perron_seed(matrix, np.ones(cm.n))
-    lo, hi, _ = _cw_bracket(matrix, v, tol, SPR_MAX_STEPS)
+    lo, hi, _ = _cw_bracket(cm.at(x), np.ones(cm.n), tol, SPR_MAX_STEPS)
+    if not hi - lo < tol:
+        raise RuntimeError(
+            f"spectral radius at x = {x} not converged after {SPR_MAX_STEPS} steps: "
+            f"bracket [{lo}, {hi}] is wider than tol = {tol}"
+        )
     return 0.5 * (lo + hi)
 
 
@@ -197,26 +180,24 @@ def component_radius(
     radius at 1 is also >= 1 for every cyclic component).  Otherwise
     bisection on (1/4, 1) decides each midpoint through certified
     bounds; an undecidable midpoint (radius within float noise) falls
-    back to the bracket midpoint estimate.
+    back to the bracket midpoint estimate.  Raises ValueError for a tol
+    below the float spacing at 1 (see check_tol).
     """
+    check_tol(tol)
     if not comp.cyclic:
         raise ValueError("component radius is defined on cyclic components")
     cm = _ComponentMatrix(sys, comp)
-    ones = np.ones(cm.n)
-
-    matrix = cm.at(1.0)
-    v = _perron_seed(matrix, ones)
-    _, hi1, v = _cw_bracket(matrix, v, 1e-13, RADIUS_MAX_STEPS, stop_above=1.0)
+    _, hi1, v = _cw_bracket(
+        cm.at(1.0), np.ones(cm.n), 1e-13, RADIUS_MAX_STEPS, stop_above=1.0
+    )
     if hi1 <= 1.0 + 1e-12:
         return (1.0, 1.0)
 
     lo, hi = RADIUS_LOWER, 1.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        matrix = cm.at(mid)
-        v = _perron_seed(matrix, v)
         blo, bhi, v = _cw_bracket(
-            matrix, v, 1e-14, RADIUS_MAX_STEPS, stop_above=1.0, stop_below=1.0
+            cm.at(mid), v, 1e-14, RADIUS_MAX_STEPS, stop_above=1.0, stop_below=1.0
         )
         if blo > 1.0:
             hi = mid
@@ -255,6 +236,14 @@ def check_numeric_range(m: int) -> None:
         ) from None
 
 
+def check_tol(tol: float) -> None:
+    """Raise ValueError unless tol >= ulp(1.0) (about 2.2e-16): bisection
+    on (1/4, 1] cannot narrow a bracket below the float spacing, so a
+    smaller, zero, negative or NaN tol would never be met."""
+    if not tol >= math.ulp(1.0):
+        raise ValueError(f"tol must be >= {math.ulp(1.0)} (ulp of 1.0), got {tol}")
+
+
 @lru_cache(maxsize=None)
 def growth_constants(m: int, tol: float = DEFAULT_TOL) -> GrowthReport:
     """Component radii, growth rates, and the growth constant alpha.
@@ -263,8 +252,10 @@ def growth_constants(m: int, tol: float = DEFAULT_TOL) -> GrowthReport:
     m >= 2, alpha = max(lambda_U, lambda_V) with a dominance tie declared
     when the two rates are within 10 * tol of each other (ties are
     reported, never silently broken).  Raises ValueError for m > 520
-    (see check_numeric_range) before building anything.
+    (see check_numeric_range) or a tol below ulp(1.0) (see check_tol)
+    before building anything.
     """
+    check_tol(tol)
     if m < 1:
         raise ValueError("m must be >= 1")
     check_numeric_range(m)

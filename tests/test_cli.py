@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-from bounded_catalan import cli
+from bounded_catalan import cli, growth_analysis
 
 
 def run(capsys, argv):
@@ -170,6 +170,28 @@ def test_table_runs_in_order_on_calling_thread(capsys, monkeypatch):
     rows = out.strip().splitlines()[1:]
     assert [row.split(",")[0] for row in rows] == ["3", "2", "3"]
     assert rows[0] == rows[2] == "3,1.827,1.691,1.827,1.189"
+
+
+def no_build(m):
+    raise AssertionError(f"build_system({m}) called for a rejected tol")
+
+
+@pytest.mark.parametrize("tol", ("0", "1e-16", "nan"))
+def test_growth_rejects_tol_below_float_spacing(capsys, monkeypatch, tol):
+    # bisection cannot narrow a bracket below ulp(1.0): such a tol is never met
+    monkeypatch.setattr(growth_analysis, "build_system", no_build)
+    code, out, err = run(capsys, ["growth", "--m", "3", "--pole", "off", "--tol", tol])
+    assert code == 2
+    assert out == ""
+    assert "tol" in err
+
+
+def test_table_rejects_zero_tol(capsys, monkeypatch):
+    monkeypatch.setattr(growth_analysis, "build_system", no_build)
+    code, out, err = run(capsys, ["table", "--m-list", "2-3", "--tol", "0"])
+    assert code == 2
+    assert out == ""
+    assert "tol" in err
 
 
 def test_table_bad_m_list(capsys):

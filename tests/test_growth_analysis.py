@@ -1,13 +1,11 @@
 """Perron radii, growth constants, dominant-pole asymptotics."""
 
-import numpy as np
 import pytest
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from bounded_catalan import growth_analysis
 from bounded_catalan.gf_solver import dp_counts, generating_function
 from bounded_catalan.growth_analysis import (
-    _perron_seed,
     catalan_lower_bound,
     component_radius,
     dominant_pole_asymptotics,
@@ -50,22 +48,11 @@ def test_spectral_radius_strictly_increasing(m):
             assert a < b + 1e-12
 
 
-def test_perron_seed_falls_back_only_on_arpack_errors(monkeypatch):
-    matrix = sp.csr_matrix(np.ones((16, 16)))
-    v0 = np.ones(16)
-
-    def raising(exc):
-        def eigs(*args, **kwargs):
-            raise exc
-
-        return eigs
-
-    no_convergence = spla.ArpackNoConvergence("no convergence", None, None)
-    monkeypatch.setattr(spla, "eigs", raising(no_convergence))
-    assert _perron_seed(matrix, v0) is v0
-    monkeypatch.setattr(spla, "eigs", raising(TypeError("program fault")))
-    with pytest.raises(TypeError):
-        _perron_seed(matrix, v0)
+def test_spectral_radius_raises_when_not_converged(monkeypatch):
+    sys3 = build_system(3)
+    monkeypatch.setattr(growth_analysis, "SPR_MAX_STEPS", 1)
+    with pytest.raises(RuntimeError, match="bracket"):
+        spectral_radius_at(sys3, cyclic_by_tag(sys3)["U"], 0.5)
 
 
 def test_component_radius_exact_ones():
@@ -96,6 +83,87 @@ def test_radius_agrees_with_determinant_root(m):
     roots = real_roots_positive(det, (0, 1), tol)
     assert roots
     assert abs(roots[0] - 0.5 * (lo + hi)) <= 2 * tol
+
+
+# (r_U, r_V) brackets at the default tol over the table's m-list, as
+# float.hex, recorded from a search whose probe vectors came from a sparse
+# eigensolver.  Every bisection step is decided by a certified bound, so
+# the brackets must not depend on the probe vector.
+RADIUS_BRACKETS = {
+    2: (
+        ("0x1.5d5a11e480000p-1", "0x1.5d5a11e540000p-1"),
+        ("0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+    ),
+    3: (
+        ("0x1.1850ac2380000p-1", "0x1.1850ac2440000p-1"),
+        ("0x1.2eb51577c0000p-1", "0x1.2eb5157880000p-1"),
+    ),
+    4: (
+        ("0x1.e7835e5100000p-2", "0x1.e7835e5280000p-2"),
+        ("0x1.e99b307400000p-2", "0x1.e99b307580000p-2"),
+    ),
+    5: (
+        ("0x1.bae2392600000p-2", "0x1.bae2392780000p-2"),
+        ("0x1.b3770df280000p-2", "0x1.b3770df400000p-2"),
+    ),
+    6: (
+        ("0x1.9cf44c9580000p-2", "0x1.9cf44c9700000p-2"),
+        ("0x1.93d2cd8600000p-2", "0x1.93d2cd8780000p-2"),
+    ),
+    7: (
+        ("0x1.8785c89f00000p-2", "0x1.8785c8a080000p-2"),
+        ("0x1.7ec8f6a900000p-2", "0x1.7ec8f6aa80000p-2"),
+    ),
+    8: (
+        ("0x1.776c8c0f80000p-2", "0x1.776c8c1100000p-2"),
+        ("0x1.6f9816c480000p-2", "0x1.6f9816c600000p-2"),
+    ),
+    9: (
+        ("0x1.6ae2a2ec80000p-2", "0x1.6ae2a2ee00000p-2"),
+        ("0x1.640026a800000p-2", "0x1.640026a980000p-2"),
+    ),
+    10: (
+        ("0x1.60d6bee500000p-2", "0x1.60d6bee680000p-2"),
+        ("0x1.5acd711380000p-2", "0x1.5acd711500000p-2"),
+    ),
+    20: (
+        ("0x1.33319fec00000p-2", "0x1.33319fed80000p-2"),
+        ("0x1.310d86cc80000p-2", "0x1.310d86ce00000p-2"),
+    ),
+    50: (
+        ("0x1.1692e16780000p-2", "0x1.1692e16900000p-2"),
+        ("0x1.161dbf6100000p-2", "0x1.161dbf6280000p-2"),
+    ),
+    100: (
+        ("0x1.0c3f5dff00000p-2", "0x1.0c3f5e0080000p-2"),
+        ("0x1.0c1cf1d780000p-2", "0x1.0c1cf1d900000p-2"),
+    ),
+}
+
+
+def test_radius_brackets_pinned_and_every_step_certified(monkeypatch):
+    def no_eigs(*args, **kwargs):
+        raise AssertionError("the radius search must not call a sparse eigensolver")
+
+    monkeypatch.setattr(spla, "eigs", no_eigs)
+    real = growth_analysis._cw_bracket
+    decisions = []
+
+    def checked(matrix, v, tol, max_steps, stop_above=None, stop_below=None):
+        blo, bhi, v = real(matrix, v, tol, max_steps, stop_above, stop_below)
+        if stop_below is not None:  # a bisection step, not the test at x = 1
+            decisions.append(blo > 1.0 or bhi < 1.0)
+        return blo, bhi, v
+
+    monkeypatch.setattr(growth_analysis, "_cw_bracket", checked)
+    for m, expected in RADIUS_BRACKETS.items():
+        sys_m = build_system(m)
+        comps = cyclic_by_tag(sys_m)
+        brackets = tuple(
+            tuple(x.hex() for x in component_radius(sys_m, comps[tag])) for tag in "UV"
+        )
+        assert brackets == expected, m
+    assert decisions and all(decisions)
 
 
 def test_growth_goldens_small_m():
