@@ -85,6 +85,8 @@ def cmd_enumerate(args) -> int:
     n_max = args.n
     if n_max < 0:
         return _fail("--n must be >= 0")
+    if args.oracle_cap < 0:
+        return _fail("--oracle-cap must be >= 0")
     if args.method == "oracle" and n_max > args.oracle_cap:
         return _fail(f"oracle method needs --n <= oracle cap {args.oracle_cap}")
     columns: dict[str, list] = {}

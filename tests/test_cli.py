@@ -122,6 +122,20 @@ def test_enumerate_rejects_negative_n(capsys):
     assert ">= 0" in err
 
 
+@pytest.mark.parametrize("method", ("all", "oracle"))
+def test_enumerate_rejects_negative_oracle_cap(capsys, monkeypatch, method):
+    def no_work(*args, **kwargs):
+        raise AssertionError("counting started for a rejected --oracle-cap")
+
+    for name in ("brute_force_count", "dp_counts", "generating_function"):
+        monkeypatch.setattr(cli, name, no_work)
+    argv = ["enumerate", "--m", "2", "--n", "5", "--method", method, "--oracle-cap", "-1"]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "--oracle-cap must be >= 0" in err
+
+
 def test_graph_dot(capsys):
     code, out, _ = run(capsys, ["graph", "--m", "2"])
     assert code == 0

@@ -1,11 +1,14 @@
 """Count recursion, exact linear solve, recurrences, and cross-agreement."""
 
+import hashlib
+import types
 from fractions import Fraction
 from math import inf
 
 import pytest
 
-from bounded_catalan.core_combinatorics import iter_constrained_avoiders
+from bounded_catalan import core_combinatorics, gf_solver, state_system
+from bounded_catalan.core_combinatorics import c_kp, iter_constrained_avoiders
 from bounded_catalan.gf_solver import (
     dp_counts,
     generating_function,
@@ -48,6 +51,83 @@ def test_dp_validates_arguments():
         dp_counts(0, 5)
     with pytest.raises(ValueError):
         dp_counts(2, 0)
+
+
+def reference_dp_counts(m, n_max):
+    """The dict-keyed count recursion that ``dp_counts`` replaced, kept as its oracle."""
+    states = [(p, q) for p in list(range(m)) + [inf] for q in list(range(m)) + [inf]]
+    table = {s: [0] * (n_max + 1) for s in states}
+    for s in states:
+        table[s][1] = 1
+    coeff = {(k, p): c_kp(k, p) for k in range(1, m + 1) for p in list(range(m)) + [inf]}
+    for n in range(2, n_max + 1):
+        for p, q in states:
+            total = 0
+            for k in range(1, min(m, n - 1) + 1):
+                q_shift = q - k
+                if q_shift != inf and q_shift < 0:
+                    continue
+                c = coeff[(k, p)]
+                if c:
+                    total += c * table[(m - k, q_shift)][n - k]
+            p_shift = p - 1
+            if p_shift == inf or p_shift >= 0:
+                total += table[(p_shift, m - 1)][n - 1]
+            table[(p, q)][n] = total
+    return table
+
+
+@pytest.mark.parametrize("m, n_max", [(m, 60) for m in range(1, 13)] + [(30, 120)])
+def test_dp_matches_reference_recursion(m, n_max):
+    values = dp_counts(m, n_max).values
+    reference = reference_dp_counts(m, n_max)
+    assert list(values) == list(reference)
+    for state, row in reference.items():
+        assert values[state] == row, (m, state)
+
+
+def test_dp_matches_reference_recursion_hypothesis():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 15), st.integers(1, 80))
+    def check(m, n_max):
+        assert dp_counts(m, n_max).values == reference_dp_counts(m, n_max)
+
+    check()
+
+
+def code_names(code):
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= code_names(const)
+    return names
+
+
+def test_dp_independent_of_state_system(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("dp_counts must not read the state system")
+
+    # patch every binding, by-name imports included
+    forbidden = (state_system.build_system, core_combinatorics.c_kp_table)
+    for module in (core_combinatorics, state_system, gf_solver):
+        for name, value in list(vars(module).items()):
+            if any(value is f for f in forbidden):
+                monkeypatch.setattr(module, name, refuse)
+    assert dp_counts(3, 14).unrestricted() == A3_SEQ
+    for name in code_names(gf_solver.dp_counts.__code__):
+        target = getattr(gf_solver, name, None)
+        assert getattr(target, "__module__", None) != state_system.__name__, name
+        assert target is not refuse, name
+
+
+def test_dp_golden_m30():
+    seq = dp_counts(30, 300).unrestricted()
+    digest = hashlib.sha256(",".join(map(str, seq)).encode()).hexdigest()
+    assert digest == "c97034e02bba90f7ff709a673dd4bdddf5396ef73d9298f8871c920f0c5e6d58"
 
 
 def test_solve_system_state_goldens_m2():
