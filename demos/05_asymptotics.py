@@ -1,7 +1,7 @@
 """Simple-pole asymptotics: a(n) ~ kappa * alpha^n.
 
 The dominant pole rho of the reduced generating function is isolated by
-exact sign bisection (Sturm counts first); when it is a simple pole the
+exact sign bisection (Descartes counts first); when it is a simple pole the
 residue gives the constant kappa, and the exact counts converge to
 kappa * alpha^n at an exponential rate.
 """

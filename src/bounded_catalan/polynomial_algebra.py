@@ -3,9 +3,9 @@
 Coefficients are arbitrary-precision rationals (``fractions.Fraction``);
 polynomials are dense, indexed by degree, with trailing zeros trimmed.
 On top of the ring arithmetic this module provides monic gcd, reduction
-of rational functions, power-series coefficient extraction, Sturm-sequence
-isolation of positive real roots, and fraction-free (Bareiss-style)
-elimination for polynomial matrices.
+of rational functions, power-series coefficient extraction, isolation of
+positive real roots by Descartes' rule of signs, and fraction-free
+(Bareiss-style) elimination for polynomial matrices.
 
 Every gcd goes through ``_gcd_i``, which first tries a coprimality
 certificate: the primitive operands are reduced modulo the prime
@@ -126,26 +126,18 @@ def _primitive_i(a: IntPoly) -> IntPoly:
     return [c // g for c in a] if g > 1 else a[:]
 
 
-def _prem_even_i(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Pseudo-remainder of a by b scaled by an even power of lc(b).
-
-    The scaling factor lc(b)^(2t) is positive, so the sign pattern of the
-    true remainder is preserved (needed for Sturm sequences).
-    """
+def _prem_i(a: IntPoly, b: IntPoly) -> IntPoly:
+    """Pseudo-remainder of a by b: lc(b)^t times the true remainder, t >= 0."""
     da, db = len(a) - 1, len(b) - 1
     if da < db:
         return a[:]
     r = a[:]
     lb = b[-1]
-    steps = 0
     for i in range(da - db, -1, -1):
         coef = r[db + i]
         r = [lb * c for c in r]
-        steps += 1
         for j in range(db + 1):
             r[i + j] -= coef * b[j]
-    if steps % 2:
-        r = [lb * c for c in r]
     return _trim(r)
 
 
@@ -192,7 +184,7 @@ def _gcd_i(a: IntPoly, b: IntPoly) -> IntPoly:
     if a and b and a[-1] % _P and b[-1] % _P and _gcd_degree_mod_p(a, b) == 0:
         return [1]
     while b:
-        a, b = b, _primitive_i(_prem_even_i(a, b))
+        a, b = b, _primitive_i(_prem_i(a, b))
     if a[-1] < 0:
         a = [-c for c in a]
     return a
@@ -478,23 +470,8 @@ def _series_int(num: IntPoly, den: IntPoly, n_max: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Sturm sequences and positive real root isolation
+# Descartes' rule of signs and positive real root isolation
 # ---------------------------------------------------------------------------
-
-
-def _sturm_chain(p: IntPoly) -> list[IntPoly]:
-    chain = [p[:]]
-    dp = _trim([i * c for i, c in enumerate(p)][1:])
-    if dp:
-        chain.append(dp)
-        while True:
-            r = _prem_even_i(chain[-2], chain[-1])
-            if not r:
-                break
-            chain.append([-c for c in _primitive_i(r)])
-            if len(chain[-1]) == 1:
-                break
-    return chain
 
 
 def _sign_at(p: IntPoly, x: Fraction) -> int:
@@ -512,13 +489,25 @@ def _sign_at(p: IntPoly, x: Fraction) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _variations(chain: list[IntPoly], x: Fraction) -> int:
-    signs = []
-    for poly in chain:
-        v = _sign_at(poly, x)
-        if v != 0:
-            signs.append(v)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _descartes(p: IntPoly, a: Fraction, b: Fraction) -> int:
+    """Sign variations in the coefficients of (1+t)^d p((a + b t)/(1+t)).
+
+    d = deg p.  The map t -> (a + b t)/(1+t) takes (0, inf) onto (a, b),
+    so by Descartes' rule of signs the count bounds the number of roots
+    of p in the open interval (a, b), exceeds it by an even number, and
+    is exact when it is 0 or 1.  With den the common denominator of a
+    and b, the integer polynomial den^d (1+t)^d p(...) is built by
+    homogeneous Horner in num = den (a + b t) and den (1 + t).
+    """
+    den = int_lcm(a.denominator, b.denominator)
+    num = [int(a * den), int(b * den)]
+    acc = [p[-1]]
+    pw = [1]
+    for c in reversed(p[:-1]):
+        pw = _mul_i(pw, [den, den])
+        acc = _add_i(_mul_i(acc, num), _scale_i(pw, c))
+    signs = [c > 0 for c in acc if c]
+    return sum(u != v for u, v in zip(signs, signs[1:]))
 
 
 def real_roots_positive(
@@ -526,13 +515,14 @@ def real_roots_positive(
 ) -> list[float]:
     """Distinct real roots of p in the half-open interval (lo, hi].
 
-    Sturm-sequence counting isolates single-root subintervals; each root
-    is then bracketed by sign bisection on the square-free part of p down
-    to width < tol.  Signs are evaluated exactly at rational points (by
-    integer Horner on the numerator and denominator), so the brackets are
-    rigorous; the reported root is the bracket midpoint
-    (or the exact point when a bisection point happens to be a root).
-    Defaults to the interval (0, 1].
+    Dyadic bisection of (lo, hi] isolates single-root subintervals, each
+    certified by Descartes' rule of signs on the square-free part of p
+    (Collins & Akritas 1976); each root is then bracketed by sign
+    bisection on that part down to width < tol.  Signs are evaluated
+    exactly at rational points (by integer Horner on the numerator and
+    denominator), so the brackets are rigorous; the reported root is the
+    bracket midpoint (or the exact point when a bisection point happens
+    to be a root).  Defaults to the interval (0, 1].
     """
     if p.is_zero():
         raise ValueError("cannot isolate roots of the zero polynomial")
@@ -546,7 +536,6 @@ def real_roots_positive(
     pi = _primitive_i(p._cleared()[0])
     dpi = _trim([i * c for i, c in enumerate(pi)][1:])
     sf = _divexact_i(pi, _gcd_i(pi, dpi)) if dpi else pi
-    chain = _sturm_chain(sf)
     tol_f = Fraction(tol)
 
     roots: list[float] = []
@@ -569,19 +558,19 @@ def real_roots_positive(
                 b = mid
         roots.append(float((a + b) / 2))
 
-    def isolate(a: Fraction, b: Fraction, va: int, vb: int) -> None:
-        count = va - vb
-        if count <= 0:
+    def isolate(a: Fraction, b: Fraction) -> None:
+        # bounds the distinct roots in (a, b]; exact when 0 or 1
+        count = _descartes(sf, a, b) + (_sign_at(sf, b) == 0)
+        if count == 0:
             return
         if count == 1 and _sign_at(sf, a) != 0:
             refine(a, b)
             return
         mid = (a + b) / 2
-        vm = _variations(chain, mid)
-        isolate(a, mid, va, vm)
-        isolate(mid, b, vm, vb)
+        isolate(a, mid)
+        isolate(mid, b)
 
-    isolate(lo_f, hi_f, _variations(chain, lo_f), _variations(chain, hi_f))
+    isolate(lo_f, hi_f)
     return sorted(roots)
 
 

@@ -86,13 +86,13 @@ def test_gcd_constant_and_zero_operands(a, b, want):
 
 def counting_prem(monkeypatch):
     calls = []
-    real = pa._prem_even_i
+    real = pa._prem_i
 
     def spy(a, b):
         calls.append(1)
         return real(a, b)
 
-    monkeypatch.setattr(pa, "_prem_even_i", spy)
+    monkeypatch.setattr(pa, "_prem_i", spy)
     return calls
 
 

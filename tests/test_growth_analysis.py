@@ -277,6 +277,34 @@ POLE_DEN_ROOTS = {
         "0x1.573294ac20000p+0",
         "0x1.a4dcd2a2e0000p+0",
     ],
+    9: [
+        "0x1.640026a980000p-2",
+        "0x1.6ae2a2ec80000p-2",
+        "0x1.7c792933c0000p-1",
+        "0x1.0000000000000p+0",
+        "0x1.4360722a60000p+0",
+        "0x1.8901f5fe20000p+0",
+        "0x1.d3a6749520000p+0",
+    ],
+    10: [
+        "0x1.5acd711480000p-2",
+        "0x1.60d6bee680000p-2",
+        "0x1.62d15e3f40000p-1",
+        "0x1.0000000000000p+0",
+        "0x1.3284676e60000p+0",
+        "0x1.737c993ca0000p+0",
+        "0x1.b2a3e82a60000p+0",
+    ],
+    12: [
+        "0x1.4d0875e680000p-2",
+        "0x1.51baa87480000p-2",
+        "0x1.3c9b38ccc0000p-1",
+        "0x1.0000000000000p+0",
+        "0x1.15b719abe0000p+0",
+        "0x1.544c2276a0000p+0",
+        "0x1.84f2ddc060000p+0",
+        "0x1.bca76200a0000p+0",
+    ],
 }
 
 
