@@ -7,11 +7,14 @@ dependency graph), and ``table`` (growth-rate table over a list of m).
 
 Exit codes: 0 success, 2 validation error, 3 internal cross-check failure
 (an enumerate DISAGREE), so CI pipelines can gate on agreement.  All
-results go to stdout, diagnostics to stderr.  ``growth`` and ``table``
-reject m > 520, where W's coefficients overflow a float, with exit code
-2 before any work is done; ``table`` computes its m values one after
-another.  Rational numbers are serialized as "p/q" strings in JSON
-output to avoid float loss.
+results go to stdout, diagnostics to stderr.  The radius search of
+``growth`` and ``table`` never builds the state system W; only the exact
+routes do (``gf``, ``recurrence``, ``graph``, series counts and the pole
+data of ``growth``).  ``growth`` and ``table`` reject m > 519, where a
+row sum of the first radius product overflows a float, with exit code 2
+before any work is done.  ``table`` computes its m values one after another.
+Rational numbers are serialized as "p/q" strings in JSON output to avoid
+float loss.
 """
 
 from __future__ import annotations

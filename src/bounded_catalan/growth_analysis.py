@@ -8,6 +8,12 @@ rate.  The exponential growth constant of the unrestricted counts is
 alpha = max(lambda_U, lambda_V), attained at the dominant pole
 rho = min(r_U, r_V) of the generating function.
 
+The search never builds W: every product W_C(x) v comes from
+state_system.component_product, which reads the c_kp table alone and
+costs O(m^2), on the members of U and V given by the paper's structure
+(cyclic_members).  Float range ends at m = 519 (see
+check_numeric_range).
+
 Numerics: spectral radii are bracketed by Collatz-Wielandt ratios
 (min_i (Bv)_i / v_i <= spr(B) <= max_i (Bv)_i / v_i for any positive v),
 which are valid bounds regardless of how the probe vector v was obtained.
@@ -26,12 +32,18 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
 from .core_combinatorics import catalan
 from .gf_solver import dp_counts, generating_function
 from .polynomial_algebra import real_roots_positive
-from .state_system import ComponentInfo, StateSystem, build_system, component_edges
+from .state_system import (
+    ComponentInfo,
+    ComponentProduct,
+    StateSystem,
+    component_product,
+    cyclic_members,
+    state_indices,
+)
 
 DEFAULT_TOL = 1e-10
 
@@ -90,47 +102,29 @@ class DominantPole:
     next_pole_modulus: float | None
 
 
-class _ComponentMatrix:
-    """Numeric evaluations W_C(x) of one component's polynomial matrix."""
-
-    def __init__(self, sys: StateSystem, comp: ComponentInfo):
-        members = [sys.index[s] for s in comp.members]
-        rows, cols, pos = component_edges(sys, members)
-        order = np.lexsort((cols, rows))  # canonical CSR: columns sorted per row
-        pos = pos[order]
-        self.n = len(members)
-        self._indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=self.n))))
-        self._indices = cols[order]
-        self._coeffs = sys.coeffs_float[sys.pred_cidx[pos]]
-        self._degs = sys.pred_deg[pos].astype(np.float64)
-
-    def at(self, x: float) -> sp.csr_matrix:
-        data = self._coeffs * np.power(x, self._degs)
-        return sp.csr_matrix((data, self._indices, self._indptr), shape=(self.n, self.n))
-
-
 def _positive(v: np.ndarray) -> np.ndarray:
     v = v / v.max()
     return np.maximum(v, 1e-250)
 
 
 def _cw_bracket(
-    matrix: sp.csr_matrix,
+    product,
     v: np.ndarray,
     tol: float,
     max_steps: int,
     stop_above: float | None = None,
     stop_below: float | None = None,
 ) -> tuple[float, float, np.ndarray]:
-    """Certified bounds on spr(matrix) from Collatz-Wielandt ratios.
+    """Certified bounds on spr(B) from Collatz-Wielandt ratios, where
+    ``product`` is the map v -> B v of a nonnegative matrix B.
 
-    Iterates v <- (matrix + I) v; each iterate yields valid lower/upper
+    Iterates v <- (B + I) v; each iterate yields valid lower/upper
     bounds min/max of (Bv/v) - 1, and the best pair seen is kept.  Stops
     early once the bracket clears ``stop_above``/``stop_below``.
     """
     best_lo, best_hi = 0.0, math.inf
     for _ in range(max_steps):
-        w = matrix @ v + v
+        w = product(v) + v
         ratios = w / v
         best_lo = max(best_lo, float(ratios.min()) - 1.0)
         best_hi = min(best_hi, float(ratios.max()) - 1.0)
@@ -142,6 +136,12 @@ def _cw_bracket(
             break
         v = _positive(w)
     return best_lo, best_hi, v
+
+
+def _product(sys: StateSystem, comp: ComponentInfo) -> ComponentProduct:
+    """The product v -> W_C(x) v of a component; reads only sys.m and
+    comp.members, so nothing of W is needed."""
+    return component_product(sys.m, state_indices(sys.m, comp.members))
 
 
 def spectral_radius_at(
@@ -157,8 +157,8 @@ def spectral_radius_at(
         raise ValueError("spectral radius is defined on cyclic components")
     if x <= 0:
         raise ValueError("x must be positive")
-    cm = _ComponentMatrix(sys, comp)
-    lo, hi, _ = _cw_bracket(cm.at(x), np.ones(cm.n), tol, SPR_MAX_STEPS)
+    cp = _product(sys, comp)
+    lo, hi, _ = _cw_bracket(cp.at(x), np.ones(cp.n), tol, SPR_MAX_STEPS)
     if not hi - lo < tol:
         raise RuntimeError(
             f"spectral radius at x = {x} not converged after {SPR_MAX_STEPS} steps: "
@@ -186,9 +186,13 @@ def component_radius(
     check_tol(tol)
     if not comp.cyclic:
         raise ValueError("component radius is defined on cyclic components")
-    cm = _ComponentMatrix(sys, comp)
+    return _radius(_product(sys, comp), tol)
+
+
+def _radius(cp: ComponentProduct, tol: float) -> tuple[float, float]:
+    """The search of component_radius on the product of one component."""
     _, hi1, v = _cw_bracket(
-        cm.at(1.0), np.ones(cm.n), 1e-13, RADIUS_MAX_STEPS, stop_above=1.0
+        cp.at(1.0), np.ones(cp.n), 1e-13, RADIUS_MAX_STEPS, stop_above=1.0
     )
     if hi1 <= 1.0 + 1e-12:
         return (1.0, 1.0)
@@ -197,7 +201,7 @@ def component_radius(
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         blo, bhi, v = _cw_bracket(
-            cm.at(mid), v, 1e-14, RADIUS_MAX_STEPS, stop_above=1.0, stop_below=1.0
+            cp.at(mid), v, 1e-14, RADIUS_MAX_STEPS, stop_above=1.0, stop_below=1.0
         )
         if blo > 1.0:
             hi = mid
@@ -224,15 +228,16 @@ def catalan_lower_bound(m: int) -> float:
 
 
 def check_numeric_range(m: int) -> None:
-    """Raise ValueError when the numeric W of gap bound m is not
-    representable: its largest coefficient catalan(m-1) overflows a float
-    from m = 521 on."""
+    """Raise ValueError when the radius search of gap bound m leaves float
+    range.  Its first product W_U(1) 1 has the row sum catalan(0) + ... +
+    catalan(m-1) at state (m-1, inf), which overflows a float from
+    m = 520 on."""
     try:
-        float(catalan(m - 1))
+        float(sum(catalan(k) for k in range(m)))
     except OverflowError:
         raise ValueError(
-            f"m = {m} is beyond the growth analysis limit m <= 520: "
-            f"catalan({m - 1}) overflows a float"
+            f"m = {m} is beyond the growth analysis limit m <= 519: "
+            f"the row sum of W_U(1) overflows a float"
         ) from None
 
 
@@ -251,9 +256,10 @@ def growth_constants(m: int, tol: float = DEFAULT_TOL) -> GrowthReport:
     For m = 1 the counts are eventually constant and alpha = 1.  For
     m >= 2, alpha = max(lambda_U, lambda_V) with a dominance tie declared
     when the two rates are within 10 * tol of each other (ties are
-    reported, never silently broken).  Raises ValueError for m > 520
-    (see check_numeric_range) or a tol below ulp(1.0) (see check_tol)
-    before building anything.
+    reported, never silently broken).  The radii come from the products
+    of component_product on the paper's U and V (cyclic_members); W is
+    never built.  Raises ValueError for m > 519 (see check_numeric_range)
+    or a tol below ulp(1.0) (see check_tol) before any work.
     """
     check_tol(tol)
     if m < 1:
@@ -262,11 +268,9 @@ def growth_constants(m: int, tol: float = DEFAULT_TOL) -> GrowthReport:
     lower = catalan_lower_bound(m)
     if m == 1:
         return GrowthReport(m=1, tol=tol, alpha=1.0, lower_bound=lower, rho=1.0)
-    sys = build_system(m)
-    comp_u = next(c for c in sys.sccs if c.tag == "U")
-    comp_v = next(c for c in sys.sccs if c.tag == "V")
-    r_u = component_radius(sys, comp_u, tol)
-    r_v = component_radius(sys, comp_v, tol)
+    members = cyclic_members(m)
+    r_u = _radius(component_product(m, members["U"]), tol)
+    r_v = _radius(component_product(m, members["V"]), tol)
     mid_u = 0.5 * (r_u[0] + r_u[1])
     mid_v = 0.5 * (r_v[0] + r_v[1])
     lam_u = 1.0 / mid_u

@@ -27,15 +27,22 @@ increasing k, then the append entry, whose coefficient 1 is the k = 1
 table row.  ``succ_ptr``/``succ_tgt`` hold the same edges by source with
 targets increasing.  The arrays are read-only and shared: build_system
 builds one system per m and caches it.
+
+The numeric growth path needs no build.  cyclic_members gives the
+states of the cyclic components U, V and I from the paper's structure
+(build_system checks its components against them), and
+component_product evaluates W_C(x) v on one of them from the c_kp table
+in O(m^2), against the O(m^3) entries of W.
 """
 
 from __future__ import annotations
 
-from collections.abc import ItemsView, Mapping, ValuesView
+from collections.abc import Callable, ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import inf
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -103,12 +110,6 @@ class StateSystem:
     @property
     def entries(self) -> Mapping:
         return _EntryView(self)
-
-    @cached_property
-    def coeffs_float(self) -> np.ndarray:
-        """``coeffs`` as floats for the numeric layer; raises OverflowError
-        once catalan(m-1) leaves float range (m > 520)."""
-        return _read_only(np.array(self.coeffs, dtype=np.float64))
 
     def successors(self, s: int) -> list[int]:
         return self.succ_tgt[self.succ_ptr[s] : self.succ_ptr[s + 1]].tolist()
@@ -261,6 +262,90 @@ def build_system(m: int) -> StateSystem:
     return sys
 
 
+def state_indices(m: int, states) -> np.ndarray:
+    """The indices ``p_idx * (m+1) + q_idx`` of ``states`` (inf at index m)."""
+    return np.array([(m if p == INF else p) * (m + 1) + (m if q == INF else q) for p, q in states])
+
+
+# One m at a time: the U and V products of one m share it.
+@lru_cache(maxsize=1)
+def _split_weights(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """W's split coefficients as floats, from the c_kp table: catalan(k-1)
+    for k = 1..m, which c_kp(k, p) equals for k <= p+1, and the tail
+    c_kp(k, p) for k > p+1 as a matrix [p, k-1] over finite p, zero for
+    k <= p+1."""
+    table = c_kp_table(m)
+    catalans = np.array([row[m] for row in table], dtype=np.float64)
+    tail = np.array([row[:m] for row in table], dtype=np.float64).T
+    tail[np.arange(1, m + 1) <= np.arange(m)[:, None] + 1] = 0.0
+    return _read_only(catalans), _read_only(tail)
+
+
+class ComponentProduct(NamedTuple):
+    """A component of ``n`` members; ``at(x)`` is the map v -> W_C(x) v."""
+
+    n: int
+    at: Callable[[float], Callable[[np.ndarray], np.ndarray]]
+
+
+def component_product(m: int, members) -> ComponentProduct:
+    """The product v -> W_C(x) v on a cyclic component C, from the c_kp
+    table alone, without building W.
+
+    ``members`` are C's state indices in increasing order (see
+    cyclic_members), and local index i stands for members[i].  Target
+    (p, q) receives c_kp(k, p) x^k v(m-k, q-k) for k <= K_q (K_q = q for
+    finite q, m for q = inf), plus x v(p-1, m-1) for p >= 1 (inf - 1 =
+    inf).  Since c_kp(k, p) = catalan(k-1) for k <= p+1, the product
+    - gathers D[k, q] = v(m-k, q-k), zero for q - k < 0 and for sources
+      outside C, and v(m-k, inf) for q = inf;
+    - takes the column prefix sums over k of catalan(k-1) x^k D and reads
+      target (p, q) at k = min(p+1, K_q) (p = inf reads K_q), which is
+      every term with k <= p+1;
+    - adds the tail c_kp(k, p) x^k D[k, q], k > p+1, on the columns
+      q = m-1 and q = inf only;
+    - adds the append term x v(p-1, m-1).
+    On U, V and I those are the only targets with a tail: K_q <= p+1 on
+    V's targets q < p and on I.  Other targets would need one elsewhere;
+    they are never read.  Each product costs O(m^2).
+    """
+    catalans, tail = _split_weights(m)
+    members = np.asarray(members, dtype=np.int64)
+    n1 = m + 1
+    zero = n1 * n1  # a slot past the last state that stays 0
+    p, q = np.divmod(members, n1)
+    columns, col = np.unique(q, return_inverse=True)  # only the columns C uses
+    k = np.arange(1, m + 1)[:, None]
+    shifted = np.where(columns == m, m, columns - k)
+    gather = np.where(shifted >= 0, (m - k) * n1 + shifted, zero)
+    read = np.minimum(p + 1, np.where(q == m, m, q)) * len(columns) + col
+    append = np.where(p == 0, zero, np.where(p == m, m, p - 1) * n1 + m - 1)
+    tails = []  # (member positions, their tail rows, column), for q = m-1 and q = inf
+    for c in np.flatnonzero(columns >= m - 1):
+        pos = np.flatnonzero((col == c) & (p < m))
+        tails.append((pos, tail[p[pos]], c))
+
+    def at(x: float):
+        xk = np.power(x, np.arange(1.0, m + 1))
+        weights = (catalans * xk)[:, None]
+
+        def product(v: np.ndarray) -> np.ndarray:
+            z = np.zeros(zero + 1)
+            z[members] = v
+            d = z[gather]
+            sums = np.zeros((m + 1, len(columns)))
+            np.cumsum(weights * d, axis=0, out=sums[1:])
+            w = sums.ravel()[read] + x * z[append]
+            for pos, rows, c in tails:
+                # einsum, not a BLAS call, which OpenBLAS threads from m ~ 100 on
+                w[pos] += np.einsum("ik,k->i", rows, xk * d[:, c])
+            return w
+
+        return product
+
+    return ComponentProduct(len(members), at)
+
+
 def _tarjan_sccs(ptr: list[int], targets: list[int]) -> list[list[int]]:
     """Iterative Tarjan on a graph in CSR form (the successors of v are
     targets[ptr[v]:ptr[v+1]]); components come out in reverse topological
@@ -314,20 +399,30 @@ def _tarjan_sccs(ptr: list[int], targets: list[int]) -> list[list[int]]:
     return result
 
 
-def _expected_components(m: int) -> dict[str, frozenset]:
-    u = frozenset((p, INF) for p in range(m))
-    v = frozenset(
-        {(p, q) for p in range(m) for q in range(p)}
-        | {(p, m - 1) for p in range(m - 1)}
-    )
-    i = frozenset({(INF, m - 1)})
-    return {"U": u, "V": v, "I": i}
+def cyclic_members(m: int) -> dict[str, np.ndarray]:
+    """Sorted state indices of the cyclic components for m >= 2, from the
+    paper's structure:
+
+        U = {(p, inf) : p < m}
+        V = {(p, q) : q < p < m} | {(p, m-1) : p < m-1}
+        I = {(inf, m-1)}
+
+    build_system checks every computed component against these sets."""
+    if m < 2:
+        raise ValueError("the cyclic components U, V and I need m >= 2")
+    n1 = m + 1
+    p, q = np.divmod(np.arange(m * n1), n1)  # the states with finite p
+    return {
+        "U": _read_only(np.arange(m) * n1 + m),
+        "V": _read_only(np.flatnonzero((q < p) | ((q == m - 1) & (p < m - 1)))),
+        "I": _read_only(np.array([m * n1 + m - 1])),
+    }
 
 
 def _decompose(sys: StateSystem, self_loop: np.ndarray) -> tuple[ComponentInfo, ...]:
     raw = _tarjan_sccs(sys.succ_ptr.tolist(), sys.succ_tgt.tolist())
     raw.reverse()  # topological: sources before the states depending on them
-    expected = _expected_components(sys.m) if sys.m >= 2 else None
+    expected = cyclic_members(sys.m) if sys.m >= 2 else None
     comps: list[ComponentInfo] = []
     for members_idx in raw:
         members_idx.sort()
@@ -335,10 +430,9 @@ def _decompose(sys: StateSystem, self_loop: np.ndarray) -> tuple[ComponentInfo, 
         cyclic = len(members) > 1 or bool(self_loop[members_idx[0]])
         tag: str | None = None
         if expected is not None:
-            member_set = frozenset(members)
             if cyclic:
                 for name, want in expected.items():
-                    if member_set == want:
+                    if np.array_equal(members_idx, want):
                         tag = name
                         break
                 else:

@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-from bounded_catalan import cli, growth_analysis
+from bounded_catalan import cli, gf_solver, growth_analysis, state_system
 
 
 def run(capsys, argv):
@@ -186,14 +186,20 @@ def test_table_runs_in_order_on_calling_thread(capsys, monkeypatch):
     assert rows[0] == rows[2] == "3,1.827,1.691,1.827,1.189"
 
 
-def no_build(m):
-    raise AssertionError(f"build_system({m}) called for a rejected tol")
+def no_build(m, *args):
+    raise AssertionError(f"the system or a product of m = {m} built for a rejected tol")
+
+
+def refuse_builds(monkeypatch):
+    for module in (state_system, gf_solver, cli):
+        monkeypatch.setattr(module, "build_system", no_build)
+    monkeypatch.setattr(growth_analysis, "component_product", no_build)
 
 
 @pytest.mark.parametrize("tol", ("0", "1e-16", "nan"))
 def test_growth_rejects_tol_below_float_spacing(capsys, monkeypatch, tol):
     # bisection cannot narrow a bracket below ulp(1.0): such a tol is never met
-    monkeypatch.setattr(growth_analysis, "build_system", no_build)
+    refuse_builds(monkeypatch)
     code, out, err = run(capsys, ["growth", "--m", "3", "--pole", "off", "--tol", tol])
     assert code == 2
     assert out == ""
@@ -201,7 +207,7 @@ def test_growth_rejects_tol_below_float_spacing(capsys, monkeypatch, tol):
 
 
 def test_table_rejects_zero_tol(capsys, monkeypatch):
-    monkeypatch.setattr(growth_analysis, "build_system", no_build)
+    refuse_builds(monkeypatch)
     code, out, err = run(capsys, ["table", "--m-list", "2-3", "--tol", "0"])
     assert code == 2
     assert out == ""

@@ -166,6 +166,44 @@ def test_radius_brackets_pinned_and_every_step_certified(monkeypatch):
     assert decisions and all(decisions)
 
 
+# (r_U, r_V) brackets beyond the table, recorded from the search on the
+# sparse W built by build_system.
+LARGE_RADIUS_BRACKETS = {
+    150: (
+        ("0x1.0891656e80000p-2", "0x1.0891657000000p-2"),
+        ("0x1.0880d15a00000p-2", "0x1.0880d15b80000p-2"),
+    ),
+    200: (
+        ("0x1.06a593ba00000p-2", "0x1.06a593bb80000p-2"),
+        ("0x1.069bc0e800000p-2", "0x1.069bc0e980000p-2"),
+    ),
+}
+
+
+@pytest.mark.parametrize("m", sorted(LARGE_RADIUS_BRACKETS))
+def test_radius_brackets_pinned_beyond_table(m):
+    report = growth_constants(m)
+    brackets = tuple(tuple(x.hex() for x in r) for r in (report.r_U, report.r_V))
+    assert brackets == LARGE_RADIUS_BRACKETS[m]
+
+
+def test_every_step_certified_at_m300(monkeypatch):
+    real = growth_analysis._cw_bracket
+    decisions = []
+
+    def checked(product, v, tol, max_steps, stop_above=None, stop_below=None):
+        blo, bhi, v = real(product, v, tol, max_steps, stop_above, stop_below)
+        if stop_below is not None:
+            decisions.append(blo > 1.0 or bhi < 1.0)
+        return blo, bhi, v
+
+    monkeypatch.setattr(growth_analysis, "_cw_bracket", checked)
+    report = growth_constants.__wrapped__(300)  # uncached: the search runs here
+    assert decisions and all(decisions)
+    assert report.lower_bound <= report.alpha < 4.0
+    assert growth_constants(200).alpha <= report.alpha
+
+
 def test_growth_goldens_small_m():
     r2 = growth_constants(2)
     assert (round(r2.lambda_U, 3), round(r2.lambda_V, 3)) == (1.466, 1.000)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from bounded_catalan import cli, gf_solver, growth_analysis
+from bounded_catalan import cli, gf_solver, growth_analysis, state_system
 from bounded_catalan.core_combinatorics import c_kp, c_kp_table
 from bounded_catalan.gf_solver import generating_function
 from bounded_catalan.growth_analysis import check_numeric_range, growth_constants
@@ -74,7 +74,6 @@ def test_cached_system_is_shared_and_read_only():
         "succ_ptr",
         "succ_tgt",
         "comp_of",
-        "coeffs_float",
     ):
         arr = getattr(sys_m, name)
         assert not arr.flags.writeable, name
@@ -102,18 +101,21 @@ def test_graph_output_is_byte_stable(capsys, m, fmt):
     assert capsys.readouterr().out == GRAPH_GOLDENS[fmt][str(m)]
 
 
-def test_numeric_range_limit_is_520():
-    check_numeric_range(520)
+def test_numeric_range_limit_is_519():
+    # the row sum catalan(0) + ... + catalan(m-1) of W_U(1) at (m-1, inf)
+    # overflows a float from m = 520 on, although catalan(519) does not
+    check_numeric_range(519)
     with pytest.raises(ValueError):
-        check_numeric_range(521)
+        check_numeric_range(520)
 
 
-@pytest.mark.parametrize("argv", [["growth", "--m", "521"], ["table", "--m-list", "521"]])
+@pytest.mark.parametrize("argv", [["growth", "--m", "520"], ["table", "--m-list", "520"]])
 def test_growth_beyond_float_range_exits_2_without_building(capsys, monkeypatch, argv):
-    def refuse(m):
-        raise AssertionError(f"build_system({m}) was called")
+    def refuse(m, *args):
+        raise AssertionError(f"the system or a product of m = {m} was built")
 
-    for module in (growth_analysis, gf_solver, cli):
+    for module in (state_system, gf_solver, cli):
         monkeypatch.setattr(module, "build_system", refuse)
+    monkeypatch.setattr(growth_analysis, "component_product", refuse)  # no search at 520
     assert cli.main(argv) == 2
-    assert "m <= 520" in capsys.readouterr().err
+    assert "m <= 519" in capsys.readouterr().err
