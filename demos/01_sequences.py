@@ -5,6 +5,8 @@ the finite-state count recursion, and Taylor coefficients of the exact
 rational generating function.
 """
 
+from math import inf
+
 from bounded_catalan import (
     brute_force_count,
     catalan,
@@ -19,7 +21,7 @@ N = 11  # the brute-force oracle is capped at length 11
 print(f"gap bound m = {M}, lengths 0..{N}\n")
 
 oracle = [brute_force_count(M, n) for n in range(N + 1)]
-dp = dp_counts(M, N).unrestricted()
+dp = dp_counts(M, N, [(inf, inf)]).unrestricted()
 series = [int(c) for c in series_coeffs(generating_function(M), N)]
 
 print(f"{'n':>4} {'oracle':>8} {'recursion':>10} {'series':>8} {'catalan':>9}")

@@ -6,6 +6,8 @@ connected components.  The reduced fraction for the unrestricted count
 comes out in closed form, and its denominator is the recurrence.
 """
 
+from math import inf
+
 from bounded_catalan import (
     dp_counts,
     generating_function,
@@ -28,7 +30,7 @@ for m in (1, 2, 3, 4):
 # replay the m = 4 recurrence against the exact count recursion
 m = 4
 rec = recurrence(m)
-seq = dp_counts(m, rec.valid_from + 10).unrestricted()
+seq = dp_counts(m, rec.valid_from + 10, [(inf, inf)]).unrestricted()
 replay = rec.extend(seq[: rec.valid_from], 10)
 print(f"m = {m} replay of 10 terms past n = {rec.valid_from}:")
 print("  recursion :", seq[rec.valid_from : rec.valid_from + 10])

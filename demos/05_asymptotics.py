@@ -6,6 +6,8 @@ residue gives the constant kappa, and the exact counts converge to
 kappa * alpha^n at an exponential rate.
 """
 
+from math import inf
+
 from bounded_catalan import dominant_pole_asymptotics, dp_counts
 
 for m in (2, 3):
@@ -15,7 +17,7 @@ for m in (2, 3):
     print(f"       simple pole: {pole.pole_simple}, kappa = {pole.kappa:.6f}")
     if pole.next_pole_modulus:
         print(f"       next positive real pole at {pole.next_pole_modulus:.6f}")
-    seq = dp_counts(m, 60).unrestricted()
+    seq = dp_counts(m, 60, [(inf, inf)]).unrestricted()
     print(f"       {'n':>4} {'a(n)':>16} {'a(n) / (kappa alpha^n)':>24}")
     for n in (10, 20, 30, 40, 50, 60):
         ratio = seq[n] / (pole.kappa * alpha**n)

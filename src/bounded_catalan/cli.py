@@ -13,6 +13,8 @@ routes do (``gf``, ``recurrence``, ``graph``, series counts and the pole
 data of ``growth``).  ``growth`` and ``table`` reject m > 519, where a
 row sum of the first radius product overflows a float, with exit code 2
 before any work is done.  ``table`` computes its m values one after another.
+``enumerate`` rejects an ``--oracle-cap`` outside 0..MAX_ORACLE_CAP (14), where
+the brute-force oracle would run for minutes to hours, the same way.
 Rational numbers are serialized as "p/q" strings in JSON output to avoid
 float loss.
 """
@@ -23,8 +25,9 @@ import argparse
 import csv
 import json
 import sys
+from math import inf
 
-from .core_combinatorics import DEFAULT_ORACLE_CAP, brute_force_count
+from .core_combinatorics import DEFAULT_ORACLE_CAP, MAX_ORACLE_CAP, brute_force_count
 from .gf_solver import dp_counts, generating_function, recurrence, recurrence_order_bound
 from .growth_analysis import (
     DEFAULT_TOL,
@@ -90,6 +93,8 @@ def cmd_enumerate(args) -> int:
         return _fail("--n must be >= 0")
     if args.oracle_cap < 0:
         return _fail("--oracle-cap must be >= 0")
+    if args.oracle_cap > MAX_ORACLE_CAP:
+        return _fail(f"--oracle-cap must be <= {MAX_ORACLE_CAP}")
     if args.method == "oracle" and n_max > args.oracle_cap:
         return _fail(f"oracle method needs --n <= oracle cap {args.oracle_cap}")
     columns: dict[str, list] = {}
@@ -100,7 +105,8 @@ def cmd_enumerate(args) -> int:
             for n in range(top + 1)
         ] + [None] * (n_max - top)
     if "dp" in methods:
-        columns["dp"] = dp_counts(args.m, max(n_max, 1)).unrestricted()[: n_max + 1]
+        table = dp_counts(args.m, max(n_max, 1), states=[(inf, inf)])
+        columns["dp"] = table.unrestricted()[: n_max + 1]
     if "series" in methods:
         coeffs = series_coeffs(generating_function(args.m), n_max)
         columns["series"] = [int(c) for c in coeffs]

@@ -6,9 +6,13 @@ endpoint-restricted counts bottom-up in one sweep over n on
 integer-indexed states.  It uses the identity c_kp(k, p) = catalan(k-1)
 for k <= p+1: all thresholds p of a state column share one running
 Catalan prefix sum, and only the tail k > p+1 needs its own c_kp
-product.  It takes its coefficients from ``c_kp`` and ``catalan`` alone,
-never from ``build_system`` or ``c_kp_table``, so it stays independent
-of the state-system route it checks.  ``solve_system`` and
+product.  Given wanted states it sweeps only their closure under the
+recursion's own source rule; a_n needs (m+1)(m+2)/2 states, and only two
+of their columns (q = m-1 and q = inf) carry a tail, so the products per
+n fall from about m^3/6 to about m^2.  It takes its coefficients from
+``c_kp`` and ``catalan`` alone, and its closure from that source rule,
+never from ``build_system``, ``c_kp_table`` or ``dependency_closure``, so
+it stays independent of the state-system route it checks.  ``solve_system`` and
 ``generating_function`` instead solve the polynomial linear system
 (I - W(x)) F = x * 1 over rational functions, component by component in
 topological order, so only blocks of cyclic-component size are ever
@@ -28,7 +32,7 @@ from itertools import accumulate
 from math import inf
 from operator import getitem, mul
 
-from .core_combinatorics import c_kp, catalan
+from .core_combinatorics import _check_threshold, c_kp, catalan
 from .polynomial_algebra import (
     ExactPoly,
     RationalFn,
@@ -54,7 +58,8 @@ __all__ = [
 
 @dataclass
 class CountTable:
-    """Endpoint-restricted counts T[(p, q)][n] for 1 <= n <= n_max.
+    """Endpoint-restricted counts T[(p, q)][n] for 1 <= n <= n_max, on the
+    states ``dp_counts`` swept.
 
     Index 0 of each list is a zero placeholder; the length-1 count is 1
     for every state (the single permutation of length 1 satisfies every
@@ -67,16 +72,55 @@ class CountTable:
 
     def unrestricted(self) -> list[int]:
         """The sequence a_0..a_n_max, with a_0 = 1 for the empty permutation."""
-        return [1] + self.values[(inf, inf)][1:]
+        row = self.values.get((inf, inf))
+        if row is None:
+            raise ValueError("(inf, inf) was not swept; list it in the states of dp_counts")
+        return [1] + row[1:]
 
 
-def dp_counts(m: int, n_max: int) -> CountTable:
+# The recursion's source rule on state indices p_idx * (m+1) + q_idx, inf at
+# index m: (p, q) reads the column sources of q and, when p >= 1, (p-1, m-1).
+
+
+def _column_sources(m: int, q: int) -> list[int]:
+    """(m-k, q-k) for k = 1..q_idx: while q-k >= 0, or all k if q = inf."""
+    return [(m - k) * (m + 1) + (q - k if q < m else m) for k in range(1, q + 1)]
+
+
+def _append_source(m: int, p: int) -> int:
+    """(p-1, m-1) for p_idx >= 1, with inf - 1 = inf."""
+    return (p - 1 if p < m else m) * (m + 1) + m - 1
+
+
+def _source_closure(m: int, targets) -> list[int]:
+    """Sorted indices of ``targets`` and of every state their counts read."""
+    seen: set[int] = set()
+    stack = list(targets)
+    while stack:
+        i = stack.pop()
+        if i in seen:
+            continue
+        seen.add(i)
+        p, q = divmod(i, m + 1)
+        stack.extend(_column_sources(m, q))
+        if p:
+            stack.append(_append_source(m, p))
+    return sorted(seen)
+
+
+def dp_counts(m: int, n_max: int, states=None) -> CountTable:
     """Fill the count table by the finite-state recursion.
 
     T[(p,q)](n) = sum_{k=1}^{min(m, n-1)} c_kp(k, p) T[(m-k, q-k)](n-k)
                   + T[(p-1, m-1)](n-1)
 
     with negative thresholds contributing zero and inf - k = inf.
+
+    ``states`` lists the wanted states; the sweep fills them and the
+    states they depend on, and ``values`` holds exactly those.  ``None``
+    means every state.  For [(inf, inf)] that is (m+1)(m+2)/2 of the
+    (m+1)^2 states: (p, inf) for all p, (p, m-1) for p != m-1 and the
+    finite p > q.
 
     The table is swept over n.  State (p, q) is row p_idx * (m+1) + q_idx
     with inf at index m, and each column q lists its source rows
@@ -85,39 +129,57 @@ def dp_counts(m: int, n_max: int) -> CountTable:
     k <= p+1, every p of a column shares one running prefix
     sum_{k<=j} catalan(k-1) g_k of the column's source values g_k; only
     the tail k > p+1 takes its own c_kp(k, p).  That cuts the big-integer
-    products per n from about m^3/2 to about m^3/6.  The coefficients come
-    from ``c_kp`` and ``catalan`` alone, never from the state system, so
-    this route stays an independent check of ``generating_function``.
+    products per n from about m^3/2 to about m^3/6 on every state, and to
+    about m^2 on the closure of (inf, inf), where only the columns q = m-1
+    and q = inf have a tail.  The coefficients come from ``c_kp`` and
+    ``catalan`` alone, never from the state system, so this route stays
+    an independent check of ``generating_function``.
     """
     if m < 1 or n_max < 1:
         raise ValueError("need m >= 1 and n_max >= 1")
     width = m + 1
     thresholds = list(range(m)) + [inf]
-    rows = [[0, 1] + [0] * (n_max - 1) for _ in range(width * width)]
-    # column q_idx reads (m-k, q-k) for k = 1..q_idx: while q-k >= 0, or all k if q = inf
-    sources = [
-        [rows[(m - k) * width + (q - k if q < m else m)] for k in range(1, q + 1)]
-        for q in range(width)
-    ]
-    targets = [[rows[p * width + q] for p in range(width)] for q in range(width)]
-    # (p-1, m-1) for p_idx = 1..m; p = 0 has no such term
-    shift_rows = [rows[(p - 1 if p < m else m) * width + m - 1] for p in range(1, width)]
+    if states is None:
+        swept = range(width * width)
+    else:
+        wanted = []
+        for state in states:
+            try:
+                p, q = state
+            except (TypeError, ValueError):
+                raise ValueError(f"a state is a pair (p, q), got {state!r}") from None
+            _check_threshold(p, m, "p")
+            _check_threshold(q, m, "q")
+            wanted.append(thresholds.index(p) * width + thresholds.index(q))
+        swept = _source_closure(m, wanted)
+    rows = {i: [0, 1] + [0] * (n_max - 1) for i in swept}
+    zeros = [0] * n_max  # the (p-1, m-1) term of p = 0
+    columns = []
+    for q in range(width):
+        # each swept target: (p_idx, its row, the row of (p-1, m-1))
+        col = [
+            (p, rows[i], rows[_append_source(m, p)] if p else zeros)
+            for p in range(width)
+            if (i := p * width + q) in rows
+        ]
+        if col:
+            columns.append(([rows[i] for i in _column_sources(m, q)], col))
     prefix_coeffs = [catalan(k - 1) for k in range(1, m + 1)]
     tail_coeffs = [[c_kp(k, p) for k in range(p + 2, m + 1)] for p in range(m)]
     for n in range(2, n_max + 1):
-        shift = [0] + [row[n - 1] for row in shift_rows]
         lengths = range(n - 1, 0, -1)
-        for src, col in zip(sources, targets):
+        for src, col in columns:
             g = list(map(getitem, src, lengths))  # g[k-1] = T[(m-k, q-k)](n-k)
             prefix = [0, *accumulate(map(mul, prefix_coeffs, g))]
-            split = max(len(g) - 1, 0)
-            for p in range(split):
-                col[p][n] = prefix[p + 1] + sum(map(mul, tail_coeffs[p], g[p + 1 :])) + shift[p]
+            split = len(g) - 1
             top = prefix[-1]
-            for p in range(split, width):
-                col[p][n] = top + shift[p]
-    states = [(p, q) for p in thresholds for q in thresholds]
-    return CountTable(m=m, n_max=n_max, values=dict(zip(states, rows)))
+            for p, row, shift in col:
+                if p < split:
+                    row[n] = prefix[p + 1] + sum(map(mul, tail_coeffs[p], g[p + 1 :])) + shift[n - 1]
+                else:
+                    row[n] = top + shift[n - 1]
+    values = {(thresholds[i // width], thresholds[i % width]): row for i, row in rows.items()}
+    return CountTable(m=m, n_max=n_max, values=values)
 
 
 @dataclass(frozen=True)
@@ -137,9 +199,11 @@ class Recurrence:
         if len(prefix) < self.valid_from:
             raise ValueError("prefix shorter than valid_from")
         seq = list(prefix)
+        # integral coefficients (all of them for a reduced denominator) multiply as ints
+        coeffs = [int(c) if c.denominator == 1 else c for c in self.lag_coeffs]
         for _ in range(steps):
             n = len(seq)
-            value = sum(c * seq[n - j] for j, c in enumerate(self.lag_coeffs, start=1))
+            value = sum(c * seq[n - j] for j, c in enumerate(coeffs, start=1))
             if isinstance(value, Fraction) and value.denominator == 1:
                 value = int(value)
             seq.append(value)
@@ -261,7 +325,7 @@ def recurrence(m: int) -> Recurrence:
     order = len(coeffs)
     valid_from = max(gf.num.degree + 1, order)
     rec = Recurrence(order=order, lag_coeffs=coeffs, valid_from=valid_from)
-    seq = dp_counts(m, valid_from + 50).unrestricted()
+    seq = dp_counts(m, valid_from + 50, [(inf, inf)]).unrestricted()
     replay = rec.extend(seq[:valid_from], 50)
     if replay != seq[valid_from : valid_from + 50]:
         raise AssertionError("recurrence fails to reproduce the count recursion")

@@ -354,5 +354,5 @@ def full_growth_report(
 def nth_root_estimate(m: int, n: int) -> float:
     """(a_n)^(1/n) from the exact count table; a direct empirical check
     of the growth constant."""
-    value = dp_counts(m, n).unrestricted()[n]
+    value = dp_counts(m, n, [(math.inf, math.inf)]).unrestricted()[n]
     return math.exp(_log_big(value) / n)

@@ -6,6 +6,7 @@ import threading
 import pytest
 
 from bounded_catalan import cli, gf_solver, growth_analysis, state_system
+from bounded_catalan.core_combinatorics import MAX_ORACLE_CAP
 
 
 def run(capsys, argv):
@@ -57,7 +58,7 @@ def test_enumerate_disagree_exit_code(capsys, monkeypatch):
         def unrestricted(self):
             return [1, 1, 3, 3, 3, 3, 3]
 
-    monkeypatch.setattr(cli, "dp_counts", lambda m, n: Corrupt())
+    monkeypatch.setattr(cli, "dp_counts", lambda m, n, states: Corrupt())
     code, out, err = run(capsys, ["enumerate", "--m", "2", "--n", "5"])
     assert code == 3
     assert "DISAGREE" in out
@@ -134,6 +135,21 @@ def test_enumerate_rejects_negative_oracle_cap(capsys, monkeypatch, method):
     assert code == 2
     assert out == ""
     assert "--oracle-cap must be >= 0" in err
+
+
+@pytest.mark.parametrize("method", ("all", "oracle"))
+def test_enumerate_rejects_oracle_cap_above_ceiling(capsys, monkeypatch, method):
+    def no_work(*args, **kwargs):
+        raise AssertionError("counting started for a rejected --oracle-cap")
+
+    for name in ("brute_force_count", "dp_counts", "generating_function"):
+        monkeypatch.setattr(cli, name, no_work)
+    cap = str(MAX_ORACLE_CAP + 1)
+    argv = ["enumerate", "--m", "2", "--n", "5", "--method", method, "--oracle-cap", cap]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert f"--oracle-cap must be <= {MAX_ORACLE_CAP}" in err
 
 
 def test_graph_dot(capsys):

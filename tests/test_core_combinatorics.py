@@ -6,6 +6,7 @@ from math import comb, inf
 import pytest
 
 from bounded_catalan.core_combinatorics import (
+    MAX_ORACLE_CAP,
     OracleCapError,
     block_construction_count,
     brute_force_count,
@@ -64,6 +65,64 @@ def test_brute_force_cap():
     with pytest.raises(OracleCapError):
         brute_force_count(2, 12)
     assert brute_force_count(2, 12, oracle_cap=12) == 157
+
+
+def test_brute_force_rejects_cap_above_ceiling():
+    with pytest.raises(ValueError, match="ceiling"):
+        brute_force_count(2, 3, oracle_cap=MAX_ORACLE_CAP + 1)
+    assert brute_force_count(2, 3, oracle_cap=MAX_ORACLE_CAP) == 5
+
+
+def reference_avoiders(n, m=None, min_first=1):
+    """The prefix-scanning generator that the pruned search replaced, kept as its oracle.
+
+    It extends every 132-free prefix, dead or not, and checks each new
+    entry by a scan of the prefix with a running minimum.
+    """
+    if n == 0:
+        yield ()
+        return
+    prefix = []
+    used = [False] * (n + 1)
+
+    def creates_132(v):
+        lo = prefix[0]
+        for x in prefix[1:]:
+            if lo < v < x:
+                return True
+            if x < lo:
+                lo = x
+        return False
+
+    def extend():
+        if len(prefix) == n:
+            yield tuple(prefix)
+            return
+        if not prefix:
+            candidates = range(min_first, n + 1)
+        elif m is not None:
+            prev = prefix[-1]
+            candidates = range(max(1, prev - m), min(n, prev + m) + 1)
+        else:
+            candidates = range(1, n + 1)
+        for v in candidates:
+            if used[v] or (prefix and creates_132(v)):
+                continue
+            used[v] = True
+            prefix.append(v)
+            yield from extend()
+            prefix.pop()
+            used[v] = False
+
+    yield from extend()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, None])
+def test_pruned_search_matches_reference_generator(m):
+    for n in range(10):
+        for min_first in range(1, n + 2):
+            expected = list(reference_avoiders(n, m, min_first))
+            assert list(iter_constrained_avoiders(n, m, min_first)) == expected, (n, min_first)
 
 
 def test_brute_force_threshold_validation():

@@ -130,6 +130,84 @@ def test_dp_golden_m30():
     assert digest == "c97034e02bba90f7ff709a673dd4bdddf5396ef73d9298f8871c920f0c5e6d58"
 
 
+def test_dp_golden_m30_closure_sweep():
+    seq = dp_counts(30, 300, [(inf, inf)]).unrestricted()
+    digest = hashlib.sha256(",".join(map(str, seq)).encode()).hexdigest()
+    assert digest == "c97034e02bba90f7ff709a673dd4bdddf5396ef73d9298f8871c920f0c5e6d58"
+
+
+def source_rule(m, p, q):
+    """The states that the count of (p, q) reads, by the recursion."""
+    sources = [(m - k, q - k) for k in range(1, (m if q == inf else q) + 1)]
+    if p == inf or p >= 1:
+        sources.append((p - 1, m - 1))
+    return sources
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_dp_output_closure_matches_full_table(m):
+    full = dp_counts(m, 40).values
+    swept = dp_counts(m, 40, [(inf, inf)]).values
+    assert len(swept) == (m + 1) * (m + 2) // 2
+    for state, row in swept.items():
+        assert row == full[state], (m, state)
+    # the closure named in the docstring: (p, inf), (p, m-1) for p != m-1, finite p > q
+    expected = {(p, q) for p in range(m) for q in range(m) if p > q}
+    expected |= {(p, m - 1) for p in list(range(m - 1)) + [inf]}
+    expected |= {(p, inf) for p in list(range(m)) + [inf]}
+    assert set(swept) == expected
+    assert list(swept) == [s for s in full if s in swept]  # same state order
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_dp_output_closure_is_the_state_system_closure(m):
+    swept = dp_counts(m, 2, [(inf, inf)]).values
+    for p, q in swept:
+        assert set(source_rule(m, p, q)) <= set(swept), (p, q)
+    sys_m = build_system(m)
+    mask = state_system.dependency_closure(sys_m, [sys_m.index[sys_m.output_state]])
+    assert set(swept) == {s for s, hit in zip(sys_m.states, mask) if hit}
+
+
+def test_dp_closure_sweep_hypothesis():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @st.composite
+    def wanted_sets(draw):
+        m = draw(st.integers(1, 12))
+        thresholds = list(range(m)) + [inf]
+        pairs = st.tuples(st.sampled_from(thresholds), st.sampled_from(thresholds))
+        return m, draw(st.lists(pairs, min_size=1, max_size=6))
+
+    @settings(max_examples=40, deadline=None)
+    @given(wanted_sets(), st.integers(1, 40))
+    def check(case, n_max):
+        m, wanted = case
+        full = dp_counts(m, n_max).values
+        swept = dp_counts(m, n_max, wanted).values
+        assert set(wanted) <= set(swept)
+        for p, q in swept:
+            assert set(source_rule(m, p, q)) <= set(swept), (p, q)
+            assert swept[(p, q)] == full[(p, q)], (m, p, q)
+
+    check()
+
+
+@pytest.mark.parametrize("bad", [[(3, inf)], [(inf, -1)], [(1.5, 0)], [("1", 0)], [inf], [(0, 1, 2)]])
+def test_dp_rejects_bad_states(bad):
+    with pytest.raises(ValueError):
+        dp_counts(3, 5, bad)
+
+
+def test_unrestricted_needs_the_output_state():
+    table = dp_counts(3, 5, [(0, 1)])
+    assert (inf, inf) not in table.values
+    with pytest.raises(ValueError, match="not swept"):
+        table.unrestricted()
+
+
 def test_solve_system_state_goldens_m2():
     sol = solve_system(build_system(2))
     x = ExactPoly([0, 1])
