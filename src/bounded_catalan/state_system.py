@@ -45,8 +45,6 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import breadth_first_order, dijkstra
 
 from .core_combinatorics import c_kp_table
 from .polynomial_algebra import ExactPoly
@@ -175,6 +173,14 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 def _offsets(counts: np.ndarray) -> np.ndarray:
     """CSR pointer array from per-row counts."""
     return _read_only(np.concatenate(([0], np.cumsum(counts))))
+
+
+def _ranges(ptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The positions ``ptr[r]:ptr[r+1]`` of every r in ``rows``, concatenated
+    in the order of ``rows``."""
+    starts = ptr[rows]
+    counts = ptr[rows + 1] - starts
+    return np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
 
 
 def thresholds(m: int) -> list:
@@ -325,16 +331,24 @@ def component_product(m: int, members) -> ComponentProduct:
         pos = np.flatnonzero((col == c) & (p < m))
         tails.append((pos, tail[p[pos]], c))
 
+    # Work arrays shared by every product of this component, so that a
+    # radius search maps no fresh pages per product; two products of one
+    # component must not run at once.  z stays zero outside the members
+    # (its last slot included), and sums[0] stays zero.
+    z = np.zeros(zero + 1)
+    d = np.empty(gather.shape)
+    terms = np.empty(gather.shape)
+    sums = np.zeros((m + 1, len(columns)))
+
     def at(x: float):
         xk = np.power(x, np.arange(1.0, m + 1))
         weights = (catalans * xk)[:, None]
 
         def product(v: np.ndarray) -> np.ndarray:
-            z = np.zeros(zero + 1)
             z[members] = v
-            d = z[gather]
-            sums = np.zeros((m + 1, len(columns)))
-            np.cumsum(weights * d, axis=0, out=sums[1:])
+            np.take(z, gather, out=d)
+            np.multiply(weights, d, out=terms)
+            np.cumsum(terms, axis=0, out=sums[1:])
             w = sums.ravel()[read] + x * z[append]
             for pos, rows, c in tails:
                 # einsum, not a BLAS call, which OpenBLAS threads from m ~ 100 on
@@ -462,10 +476,8 @@ def component_edges(sys: StateSystem, members) -> tuple[np.ndarray, np.ndarray, 
     position in the pred_* arrays), in stored order.
     """
     members = np.asarray(members)
-    starts = sys.pred_ptr[members]
-    counts = sys.pred_ptr[members + 1] - starts
-    pos = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
-    rows = np.repeat(np.arange(len(members)), counts)
+    pos = _ranges(sys.pred_ptr, members)
+    rows = np.repeat(np.arange(len(members)), np.diff(sys.pred_ptr)[members])
     local = np.full(len(sys.states), -1)
     local[members] = np.arange(len(members))
     cols = local[sys.pred_src[pos]]
@@ -476,20 +488,35 @@ def component_edges(sys: StateSystem, members) -> tuple[np.ndarray, np.ndarray, 
 def _weighted_period(sys: StateSystem, members_idx: list[int]) -> int:
     """Gcd of total weights of closed walks inside one cyclic component.
 
-    Computed from a potential assignment: pot is the weighted distance
-    from the first member, which is exact along the edges of a
-    shortest-path arborescence, and the gcd of |pot(u) + w - pot(v)|
-    over all intra-component edges u -> v is the weighted period.
+    Computed from potentials on a search tree: dist(v) is the weight of
+    v's tree path to the first member, from a breadth-first walk against
+    the edges (each level adds the unseen sources of the entries of the
+    last one), and the weighted period is the gcd of the discrepancies
+    w + dist(v) - dist(u) over all intra-component edges u -> v.
+
+    Any spanning tree gives the period.  For a path P from the first
+    member to u, the discrepancy of u -> v is the weight of the closed
+    walk P, u -> v, v's tree path, minus that of the closed walk P, u's
+    tree path, so the period divides it.  The discrepancies along a
+    closed walk sum to its weight, so their gcd divides the period.
     """
     rows, cols, pos = component_edges(sys, members_idx)
     size = len(members_idx)
     weights = sys.pred_deg[pos].astype(np.int64)
-    graph = sp.csr_matrix((weights, (cols, rows)), shape=(size, size))  # u -> v weighs w
-    dist = dijkstra(graph, indices=0)
-    if np.isinf(dist).any():
+    ptr = _offsets(np.bincount(rows, minlength=size))  # rows come grouped by target
+    dist = np.full(size, -1, dtype=np.int64)
+    dist[0] = 0
+    frontier = np.array([0])
+    while frontier.size:
+        unseen = dist < 0
+        edges = _ranges(ptr, frontier)
+        edges = edges[unseen[cols[edges]]]
+        # a source reached by several edges keeps one of them as its tree edge
+        dist[cols[edges]] = weights[edges] + dist[rows[edges]]
+        frontier = np.flatnonzero(unseen & (dist >= 0))
+    if (dist < 0).any():
         raise StructureError("component not strongly connected")
-    pot = dist.astype(np.int64)
-    g = int(np.gcd.reduce(np.abs(pot[cols] + weights - pot[rows])))
+    g = int(np.gcd.reduce(np.abs(weights + dist[rows] - dist[cols])))
     if g == 0:
         raise StructureError("cyclic component with no closed walk")
     return g
@@ -537,13 +564,18 @@ def simple_cycle_weights(sys: StateSystem, comp: ComponentInfo) -> list[int]:
 
 def dependency_closure(sys: StateSystem, targets) -> np.ndarray:
     """Mask of the states that the counts of ``targets`` (state indices)
-    depend on, the targets included."""
-    n = len(sys.states)
-    graph = sp.csr_matrix((np.ones(len(sys.pred_src)), sys.pred_src, sys.pred_ptr), shape=(n, n))
-    seen = np.zeros(n, dtype=bool)
-    for t in targets:
-        if not seen[t]:
-            seen[breadth_first_order(graph, t, return_predecessors=False)] = True
+    depend on, the targets included: a level-by-level walk from the
+    targets to the sources of their entries."""
+    # Masks, not np.unique: its first call imports numpy.ma, which costs
+    # a cold CLI command about 10 ms.
+    seen = np.zeros(len(sys.states), dtype=bool)
+    seen[np.asarray(targets, dtype=np.intp)] = True
+    frontier = np.flatnonzero(seen)
+    while frontier.size:
+        reached = np.zeros_like(seen)
+        reached[sys.pred_src[_ranges(sys.pred_ptr, frontier)]] = True
+        frontier = np.flatnonzero(reached & ~seen)
+        seen |= reached
     return seen
 
 

@@ -1,7 +1,11 @@
 """CLI behavior: outputs, formats, exit codes, round-trips."""
 
 import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -245,3 +249,27 @@ def test_parse_m_list():
         cli.parse_m_list("0")
     with pytest.raises(cli.ValidationError):
         cli.parse_m_list("")
+
+
+def test_commands_never_import_scipy():
+    # a fresh interpreter: scipy in this process may come from other tests
+    script = """
+import contextlib, io, sys
+from bounded_catalan import cli
+for argv in [
+    ["gf", "--m", "5"],
+    ["graph", "--m", "4", "--format", "dot"],
+    ["growth", "--m", "5", "--pole", "on"],
+    ["table", "--m-list", "2-4"],
+    ["enumerate", "--m", "3", "--n", "8", "--method", "all"],
+]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print(sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy.")))
+"""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
