@@ -15,6 +15,9 @@ row sum of the first radius product overflows a float, with exit code 2
 before any work is done.  ``table`` computes its m values one after another.
 ``enumerate`` rejects an ``--oracle-cap`` outside 0..MAX_ORACLE_CAP (14), where
 the brute-force oracle would run for minutes to hours, the same way.
+``gf``, ``recurrence``, ``growth --pole on`` and ``enumerate`` with series
+counts reject m > MAX_GF_M (21), where the exact solve would take more
+than a minute, with exit code 2 before any counting or solving.
 Rational numbers are serialized as "p/q" strings in JSON output to avoid
 float loss.
 """
@@ -28,7 +31,13 @@ import sys
 from math import inf
 
 from .core_combinatorics import DEFAULT_ORACLE_CAP, MAX_ORACLE_CAP, brute_force_count
-from .gf_solver import dp_counts, generating_function, recurrence, recurrence_order_bound
+from .gf_solver import (
+    check_gf_range,
+    dp_counts,
+    generating_function,
+    recurrence,
+    recurrence_order_bound,
+)
 from .growth_analysis import (
     DEFAULT_TOL,
     check_numeric_range,
@@ -97,6 +106,8 @@ def cmd_enumerate(args) -> int:
         return _fail(f"--oracle-cap must be <= {MAX_ORACLE_CAP}")
     if args.method == "oracle" and n_max > args.oracle_cap:
         return _fail(f"oracle method needs --n <= oracle cap {args.oracle_cap}")
+    if "series" in methods:
+        check_gf_range(args.m)
     columns: dict[str, list] = {}
     if "oracle" in methods:
         top = min(n_max, args.oracle_cap)
@@ -206,6 +217,8 @@ def _report_payload(report) -> dict:
 
 def cmd_growth(args) -> int:
     include_pole = {"on": True, "off": False, "auto": None}[args.pole]
+    if include_pole:
+        check_gf_range(args.m)
     report = full_growth_report(args.m, args.tol, include_pole=include_pole)
     if args.format == "json":
         _emit_json(_report_payload(report))

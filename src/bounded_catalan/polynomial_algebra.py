@@ -20,12 +20,33 @@ leading coefficient, does the integer sequence run.
 
 The heavy elimination paths run on raw integer coefficient lists; the
 public types only wrap the results.  All operations are pure functions of
-their inputs.
+their inputs.  Three kernels carry them, each exact by construction:
+
+- ``_mul_i`` multiplies long operands by Kronecker substitution (von zur
+  Gathen & Gerhard, §8.4): each operand is evaluated at 2^k by packing
+  its coefficients into k-bit slots of one integer, the two integers are
+  multiplied once, and the product is unpacked.  The slot is wide enough
+  for every product coefficient, and balanced base-2^k digits are unique,
+  so the unpacked digits are the coefficients.
+- ``_divexact_i`` divides long operands the same way, with one integer
+  ``divmod``.  A nonzero remainder proves the division inexact; otherwise
+  the quotient's digits are accepted only when their size proves that
+  quotient times divisor fits the slots, which makes the product equal to
+  the dividend digit by digit.  Otherwise the slot is doubled.
+- ``_descartes`` counts sign variations after two Taylor shifts, each a
+  run of prefix sums (Collins & Akritas 1976).  The polynomial it builds
+  is a nonzero multiple of the reversal of the one a Horner composition
+  gives, so the counts, the isolation tree and every root bracket are
+  the same.
+
+Operands shorter than ``_PACK_MIN`` terms go through the coefficient
+loops, which are cheaper there.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd as int_gcd
 from math import lcm as int_lcm
 from operator import mul
@@ -66,11 +87,50 @@ def _sub_i(a: IntPoly, b: IntPoly) -> IntPoly:
     return _trim(out)
 
 
-def _mul_i(a: IntPoly, b: IntPoly) -> IntPoly:
-    if not a or not b:
-        return []
-    if len(a) > len(b):
-        a, b = b, a
+# Products whose shorter factor, and quotients whose quotient and divisor,
+# have at least this many terms go through packed integers; below it the
+# list loops are cheaper (packing every operand made the generating
+# functions for m = 2..10 about 30-40% slower).
+_PACK_MIN = 12
+
+
+def _bits(a: IntPoly) -> int:
+    """Bit length of the largest coefficient magnitude of a nonempty a."""
+    return max(max(a), -min(a)).bit_length()
+
+
+def _bias(nb: int, n: int) -> int:
+    """2^(8 nb - 1) in each of n slots of nb bytes: the sum of the slot biases."""
+    return int.from_bytes((bytes(nb - 1) + b"\x80") * n, "little")
+
+
+def _pack(a: IntPoly, nb: int) -> int:
+    """a(2^k) for slots of k = 8 nb bits; needs |a_i| < 2^(k-1).
+
+    Each coefficient is written in two's complement; flipping each slot's
+    top bit turns that slot into the coefficient biased by 2^(k-1), which
+    is nonnegative, and the n biases are subtracted once at the end.
+    """
+    bias = _bias(nb, len(a))
+    raw = b"".join([c.to_bytes(nb, "little", signed=True) for c in a])
+    return (int.from_bytes(raw, "little") ^ bias) - bias
+
+
+def _unpack(v: int, nb: int, n: int) -> IntPoly:
+    """The n balanced base-2^k digits of v (each in [-2^(k-1), 2^(k-1))),
+    lowest first, for k = 8 nb.
+
+    Adding the n slot biases makes every digit a nonnegative slot, so the
+    bytes of the sum are the digits biased by 2^(k-1).  Raises
+    OverflowError when v has no such n-digit representation.
+    """
+    half = 1 << (8 * nb - 1)
+    raw = (v + _bias(nb, n)).to_bytes(nb * n, "little")
+    return [int.from_bytes(raw[i : i + nb], "little") - half for i in range(0, nb * n, nb)]
+
+
+def _mul_list(a: IntPoly, b: IntPoly) -> IntPoly:
+    """Schoolbook product, one row of a at a time; len(a) <= len(b)."""
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
@@ -79,18 +139,33 @@ def _mul_i(a: IntPoly, b: IntPoly) -> IntPoly:
     return _trim(out)
 
 
+def _mul_i(a: IntPoly, b: IntPoly) -> IntPoly:
+    """Product of integer polynomials (Kronecker substitution when long).
+
+    Each product coefficient is a sum of at most n = min(len a, len b)
+    terms, so its magnitude is below 2^(bits a + bits b + bitlen n).  A
+    slot of k >= that + 2 bits holds it as a balanced digit, and balanced
+    base-2^k digits are unique, so one integer product a(2^k) b(2^k)
+    unpacks to the exact coefficients.
+    """
+    if not a or not b:
+        return []
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) < _PACK_MIN:
+        return _mul_list(a, b)
+    nb = (_bits(a) + _bits(b) + len(a).bit_length() + 9) // 8
+    return _trim(_unpack(_pack(a, nb) * _pack(b, nb), nb, len(a) + len(b) - 1))
+
+
 def _scale_i(a: IntPoly, k: int) -> IntPoly:
     if k == 0:
         return []
     return [c * k for c in a]
 
 
-def _divexact_i(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Quotient a / b when the division is exact; raises otherwise."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    if not a:
-        return []
+def _divexact_list(a: IntPoly, b: IntPoly) -> IntPoly:
+    """Quotient a / b by long division; raises when it is not exact."""
     r = a[:]
     lb = b[-1]
     q = [0] * (len(a) - len(b) + 1)
@@ -107,6 +182,48 @@ def _divexact_i(a: IntPoly, b: IntPoly) -> IntPoly:
     if any(r):
         raise ArithmeticError("inexact polynomial division")
     return _trim(q)
+
+
+def _divexact_i(a: IntPoly, b: IntPoly) -> IntPoly:
+    """Quotient a / b when the division is exact in Z[x]; raises otherwise.
+
+    Long operands are divided as packed integers, a(2^k) = Q b(2^k) + R.
+    If b divides a, then Q = q(2^k) and R = 0, so R != 0 proves the
+    division inexact.  Otherwise Q is unpacked to balanced digits q and
+    accepted when bits q + bits b + bitlen n + 2 <= k, with n the shorter
+    of q and b: then q b has balanced digits in every slot, evaluates to
+    Q b(2^k) = a(2^k), and so equals a by uniqueness of the digits.  A
+    failed check doubles k.  The first k is sized from a (and b) plus a
+    byte, because a Bareiss quotient has about bits a - bits b bits; an
+    up-front bound on the quotient would make every slot far wider.  Past
+    the size at which any exact quotient would have fit (Mignotte's bound,
+    2^(len q - 1) ||a||_2), the list loop decides.
+    """
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    if not a:
+        return []
+    nq = len(a) - len(b) + 1
+    n = min(nq, len(b))
+    if n < _PACK_MIN:
+        return _divexact_list(a, b)
+    bits_a, bits_b = _bits(a), _bits(b)
+    slack = n.bit_length() + 2
+    cap = bits_a + len(a).bit_length() + nq + bits_b + slack
+    nb = (max(bits_a, bits_b + 1) + slack + 15) // 8
+    while True:
+        big_q, rem = divmod(_pack(a, nb), _pack(b, nb))
+        if rem:
+            raise ArithmeticError("inexact polynomial division")
+        try:
+            q = _unpack(big_q, nb, nq)
+        except OverflowError:
+            q = None
+        if q is not None and _bits(q) + bits_b + slack <= 8 * nb:
+            return _trim(q)
+        if 8 * nb >= cap:
+            return _divexact_list(a, b)
+        nb *= 2
 
 
 def _content_i(a: IntPoly) -> int:
@@ -489,24 +606,46 @@ def _sign_at(p: IntPoly, x: Fraction) -> int:
     return (acc > 0) - (acc < 0)
 
 
+def _shift_one(c: IntPoly) -> IntPoly:
+    """Coefficients of p(x + 1), highest degree first, from those of p.
+
+    Taylor shift by d passes of prefix sums: pass i adds each coefficient
+    into the next lower one, from the top down, over the first d + 1 - i.
+    """
+    c = c[:]
+    for n in range(len(c), 1, -1):
+        c[:n] = accumulate(c[:n])
+    return c
+
+
 def _descartes(p: IntPoly, a: Fraction, b: Fraction) -> int:
     """Sign variations in the coefficients of (1+t)^d p((a + b t)/(1+t)).
 
     d = deg p.  The map t -> (a + b t)/(1+t) takes (0, inf) onto (a, b),
     so by Descartes' rule of signs the count bounds the number of roots
     of p in the open interval (a, b), exceeds it by an even number, and
-    is exact when it is 0 or 1.  With den the common denominator of a
-    and b, the integer polynomial den^d (1+t)^d p(...) is built by
-    homogeneous Horner in num = den (a + b t) and den (1 + t).
+    is exact when it is 0 or 1.
+
+    With a = A/D and b = B/D over a common denominator D, the polynomial
+    s(u) = p(a + (b - a) u), times A^d D^d, comes from one Taylor shift:
+    g(w) = D^d p(A w / D) has the coefficients p_i A^i D^(d-i), g(1 + u)
+    is p(a + a u) times D^d, and multiplying its coefficient of u^j by
+    (B - A)^j A^(d-j) substitutes u = (b - a) u' / a.  (For A = 0, s has
+    the coefficients p_j B^j D^(d-j) directly.)  Then
+    (1+t)^d s(t/(1+t)) is the reversal of rev(s)(1 + t), a second shift.
+    Neither reversal nor a nonzero common factor changes the number of
+    sign variations (Collins & Akritas 1976).
     """
+    d = len(p) - 1
     den = int_lcm(a.denominator, b.denominator)
-    num = [int(a * den), int(b * den)]
-    acc = [p[-1]]
-    pw = [1]
-    for c in reversed(p[:-1]):
-        pw = _mul_i(pw, [den, den])
-        acc = _add_i(_mul_i(acc, num), _scale_i(pw, c))
-    signs = [c > 0 for c in acc if c]
+    lo, hi = int(a * den), int(b * den)
+    if lo:
+        g = [c * lo**i * den ** (d - i) for i, c in enumerate(p)]
+        h = _shift_one(g[::-1])[::-1]
+        s = [c * (hi - lo) ** j * lo ** (d - j) for j, c in enumerate(h)]
+    else:
+        s = [c * hi**j * den ** (d - j) for j, c in enumerate(p)]
+    signs = [c > 0 for c in _shift_one(s) if c]
     return sum(u != v for u, v in zip(signs, signs[1:]))
 
 

@@ -11,6 +11,7 @@ import pytest
 
 from bounded_catalan import cli, gf_solver, growth_analysis, state_system
 from bounded_catalan.core_combinatorics import MAX_ORACLE_CAP
+from bounded_catalan.gf_solver import MAX_GF_M
 
 
 def run(capsys, argv):
@@ -154,6 +155,45 @@ def test_enumerate_rejects_oracle_cap_above_ceiling(capsys, monkeypatch, method)
     assert code == 2
     assert out == ""
     assert f"--oracle-cap must be <= {MAX_ORACLE_CAP}" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["gf"],
+        ["gf", "--format", "json"],
+        ["recurrence"],
+        ["growth", "--pole", "on"],
+        ["enumerate", "--n", "5", "--method", "series"],
+        ["enumerate", "--n", "5", "--method", "all"],
+    ),
+)
+def test_exact_route_rejects_m_above_ceiling(capsys, monkeypatch, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("counting or solving started above MAX_GF_M")
+
+    for module, name in (
+        (gf_solver, "build_system"),
+        (gf_solver, "_solve_states"),
+        (gf_solver, "dp_counts"),
+        (growth_analysis, "growth_constants"),
+        (cli, "brute_force_count"),
+        (cli, "dp_counts"),
+        (cli, "full_growth_report"),
+    ):
+        monkeypatch.setattr(module, name, no_work)
+    gf_solver.generating_function.cache_clear()
+    code, out, err = run(capsys, [argv[0], "--m", str(MAX_GF_M + 1), *argv[1:]])
+    assert code == 2
+    assert out == ""
+    assert f"MAX_GF_M={MAX_GF_M}" in err
+
+
+def test_growth_without_pole_is_not_limited_by_the_gf_ceiling(capsys):
+    for pole in ("auto", "off"):
+        code, out, _ = run(capsys, ["growth", "--m", str(MAX_GF_M + 1), "--pole", pole])
+        assert code == 0
+        assert "kappa" not in out and "alpha" in out
 
 
 def test_graph_dot(capsys):

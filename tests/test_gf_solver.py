@@ -259,6 +259,16 @@ def test_recurrence_replay(m):
     assert rec.extend(seq[: rec.valid_from], 50) == seq[rec.valid_from : rec.valid_from + 50]
 
 
+def test_generating_function_ceiling(monkeypatch):
+    def no_build(m):
+        raise AssertionError("state system built above MAX_GF_M")
+
+    monkeypatch.setattr(gf_solver, "build_system", no_build)
+    for call in (generating_function, recurrence):
+        with pytest.raises(ValueError, match="MAX_GF_M"):
+            call(gf_solver.MAX_GF_M + 1)
+
+
 def test_recurrence_order_bound():
     assert recurrence_order_bound(1) == 1
     assert recurrence_order_bound(2) == 9
