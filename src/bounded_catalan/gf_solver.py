@@ -9,8 +9,12 @@ Catalan prefix sum, and only the tail k > p+1 needs its own c_kp
 product.  Given wanted states it sweeps only their closure under the
 recursion's own source rule; a_n needs (m+1)(m+2)/2 states, and only two
 of their columns (q = m-1 and q = inf) carry a tail, so the products per
-n fall from about m^3/6 to about m^2.  It takes its coefficients from
-``c_kp`` and ``catalan`` alone, and its closure from that source rule,
+n fall from about m^3/6 to about m^2.  A count reads back at most m
+lengths, so each swept state keeps its last m+1 counts in a ring and only
+the wanted states keep full rows: the sweep for a_n holds
+(m+1)(m+2)/2 * (m+1) + n+1 integers, not (m+1)(m+2)/2 * (n+1).  It
+takes its coefficients from ``c_kp`` and ``catalan`` alone, and its
+closure from that source rule,
 never from ``build_system``, ``c_kp_table`` or ``dependency_closure``, so
 it stays independent of the state-system route it checks.  ``solve_system`` and
 ``generating_function`` instead solve the polynomial linear system
@@ -66,9 +70,12 @@ __all__ = [
 @dataclass
 class CountTable:
     """Endpoint-restricted counts T[(p, q)][n] for 1 <= n <= n_max, on the
-    states ``dp_counts`` swept.
+    states asked of ``dp_counts``.
 
-    Index 0 of each list is a zero placeholder; the length-1 count is 1
+    ``values`` holds the full row of each wanted state, in sweep order;
+    ``swept`` names every state the sweep filled (the closure of the
+    wanted states under the recursion's source rule), in sweep order.
+    Index 0 of each row is a zero placeholder; the length-1 count is 1
     for every state (the single permutation of length 1 satisfies every
     threshold pair).
     """
@@ -76,6 +83,7 @@ class CountTable:
     m: int
     n_max: int
     values: dict[State, list[int]]
+    swept: tuple[State, ...]
 
     def unrestricted(self) -> list[int]:
         """The sequence a_0..a_n_max, with a_0 = 1 for the empty permutation."""
@@ -123,9 +131,10 @@ def dp_counts(m: int, n_max: int, states=None) -> CountTable:
 
     with negative thresholds contributing zero and inf - k = inf.
 
-    ``states`` lists the wanted states; the sweep fills them and the
-    states they depend on, and ``values`` holds exactly those.  ``None``
-    means every state.  For [(inf, inf)] that is (m+1)(m+2)/2 of the
+    ``states`` lists the wanted states; ``values`` holds exactly their
+    rows 0..n_max, and ``swept`` the states the sweep fills to compute
+    them: the wanted ones and every state they depend on.  ``None`` means
+    every state.  For [(inf, inf)] the sweep fills (m+1)(m+2)/2 of the
     (m+1)^2 states: (p, inf) for all p, (p, m-1) for p != m-1 and the
     finite p > q.
 
@@ -141,15 +150,26 @@ def dp_counts(m: int, n_max: int, states=None) -> CountTable:
     and q = inf have a tail.  The coefficients come from ``c_kp`` and
     ``catalan`` alone, never from the state system, so this route stays
     an independent check of ``generating_function``.
+
+    The count at length n reads back at most m lengths, so each swept
+    state keeps only its last m+1 counts, in a ring indexed by
+    n mod (m+1); only the wanted states also keep their full row.  The
+    sweep holds (m+1) integers per swept state plus n_max+1 per wanted
+    state: for [(inf, inf)], (m+1)(m+2)/2 * (m+1) + n_max + 1 in all,
+    against (m+1)(m+2)/2 * (n_max+1) for full rows.
     """
+    for name, value in (("m", m), ("n_max", n_max)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an int, got {value!r}")
     if m < 1 or n_max < 1:
         raise ValueError("need m >= 1 and n_max >= 1")
     width = m + 1
     thresholds = list(range(m)) + [inf]
+    names = [(p, q) for p in thresholds for q in thresholds]
     if states is None:
-        swept = range(width * width)
+        wanted = set(range(len(names)))
     else:
-        wanted = []
+        wanted = set()
         for state in states:
             try:
                 p, q = state
@@ -157,36 +177,46 @@ def dp_counts(m: int, n_max: int, states=None) -> CountTable:
                 raise ValueError(f"a state is a pair (p, q), got {state!r}") from None
             _check_threshold(p, m, "p")
             _check_threshold(q, m, "q")
-            wanted.append(thresholds.index(p) * width + thresholds.index(q))
-        swept = _source_closure(m, wanted)
-    rows = {i: [0, 1] + [0] * (n_max - 1) for i in swept}
-    zeros = [0] * n_max  # the (p-1, m-1) term of p = 0
+            wanted.add(thresholds.index(p) * width + thresholds.index(q))
+    swept = _source_closure(m, wanted)
+    # ring[n % width] = T(n) for the last m+1 lengths; slot 1 holds T(1) = 1
+    rings = {i: [0, 1] + [0] * (m - 1) for i in swept}
+    zeros = [0] * width  # the (p-1, m-1) term of p = 0
     columns = []
     for q in range(width):
-        # each swept target: (p_idx, its row, the row of (p-1, m-1))
+        # each swept target: (p_idx, its ring, the ring of (p-1, m-1))
         col = [
-            (p, rows[i], rows[_append_source(m, p)] if p else zeros)
+            (p, rings[i], rings[_append_source(m, p)] if p else zeros)
             for p in range(width)
-            if (i := p * width + q) in rows
+            if (i := p * width + q) in rings
         ]
         if col:
-            columns.append(([rows[i] for i in _column_sources(m, q)], col))
+            columns.append(([rings[i] for i in _column_sources(m, q)], col))
+    rows = {i: [0, 1] for i in swept if i in wanted}
+    kept = [(rows[i], rings[i]) for i in rows]
     prefix_coeffs = [catalan(k - 1) for k in range(1, m + 1)]
     tail_coeffs = [[c_kp(k, p) for k in range(p + 2, m + 1)] for p in range(m)]
     for n in range(2, n_max + 1):
-        lengths = range(n - 1, 0, -1)
+        slot = n % width
+        # the slots of lengths n-1, ..., max(n-m, 1), i.e. k = 1..min(m, n-1):
+        # no read reaches a length <= 0 (whose count is zero), nor the slot
+        # n mod (m+1) that this step overwrites
+        back = [j % width for j in range(n - 1, max(n - 1 - m, 0), -1)]
+        last = back[0]
         for src, col in columns:
-            g = list(map(getitem, src, lengths))  # g[k-1] = T[(m-k, q-k)](n-k)
+            g = list(map(getitem, src, back))  # g[k-1] = T[(m-k, q-k)](n-k)
             prefix = [0, *accumulate(map(mul, prefix_coeffs, g))]
             split = len(g) - 1
             top = prefix[-1]
-            for p, row, shift in col:
+            for p, ring, shift in col:
                 if p < split:
-                    row[n] = prefix[p + 1] + sum(map(mul, tail_coeffs[p], g[p + 1 :])) + shift[n - 1]
+                    ring[slot] = prefix[p + 1] + sum(map(mul, tail_coeffs[p], g[p + 1 :])) + shift[last]
                 else:
-                    row[n] = top + shift[n - 1]
-    values = {(thresholds[i // width], thresholds[i % width]): row for i, row in rows.items()}
-    return CountTable(m=m, n_max=n_max, values=values)
+                    ring[slot] = top + shift[last]
+        for row, ring in kept:
+            row.append(ring[slot])
+    values = {names[i]: row for i, row in rows.items()}
+    return CountTable(m=m, n_max=n_max, values=values, swept=tuple(names[i] for i in swept))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 """Count recursion, exact linear solve, recurrences, and cross-agreement."""
 
 import hashlib
+import sys
+import tracemalloc
 import types
 from fractions import Fraction
 from math import inf
@@ -51,6 +53,12 @@ def test_dp_validates_arguments():
         dp_counts(0, 5)
     with pytest.raises(ValueError):
         dp_counts(2, 0)
+
+
+@pytest.mark.parametrize("m, n_max", [(3, 2.5), (3, True), (True, 5), (2.0, 5), ("3", 5), (3, None)])
+def test_dp_rejects_non_integer_sizes(m, n_max):
+    with pytest.raises(ValueError, match="must be an int"):
+        dp_counts(m, n_max)
 
 
 def reference_dp_counts(m, n_max):
@@ -144,24 +152,39 @@ def source_rule(m, p, q):
     return sources
 
 
+def source_closure(m, wanted):
+    """The wanted states and every state they read, by ``source_rule``."""
+    seen, stack = set(), list(wanted)
+    while stack:
+        state = stack.pop()
+        if state not in seen:
+            seen.add(state)
+            stack.extend(source_rule(m, *state))
+    return seen
+
+
 @pytest.mark.parametrize("m", range(1, 13))
 def test_dp_output_closure_matches_full_table(m):
     full = dp_counts(m, 40).values
-    swept = dp_counts(m, 40, [(inf, inf)]).values
-    assert len(swept) == (m + 1) * (m + 2) // 2
-    for state, row in swept.items():
+    closure = dp_counts(m, 40, [(inf, inf)]).swept
+    assert len(closure) == (m + 1) * (m + 2) // 2
+    # the closure itself as the wanted states keeps every closure row
+    table = dp_counts(m, 40, closure)
+    assert table.swept == closure
+    assert list(table.values) == list(closure)
+    for state, row in table.values.items():
         assert row == full[state], (m, state)
     # the closure named in the docstring: (p, inf), (p, m-1) for p != m-1, finite p > q
     expected = {(p, q) for p in range(m) for q in range(m) if p > q}
     expected |= {(p, m - 1) for p in list(range(m - 1)) + [inf]}
     expected |= {(p, inf) for p in list(range(m)) + [inf]}
-    assert set(swept) == expected
-    assert list(swept) == [s for s in full if s in swept]  # same state order
+    assert set(closure) == expected
+    assert list(closure) == [s for s in full if s in closure]  # same state order
 
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_dp_output_closure_is_the_state_system_closure(m):
-    swept = dp_counts(m, 2, [(inf, inf)]).values
+    swept = dp_counts(m, 2, [(inf, inf)]).swept
     for p, q in swept:
         assert set(source_rule(m, p, q)) <= set(swept), (p, q)
     sys_m = build_system(m)
@@ -186,13 +209,92 @@ def test_dp_closure_sweep_hypothesis():
     def check(case, n_max):
         m, wanted = case
         full = dp_counts(m, n_max).values
-        swept = dp_counts(m, n_max, wanted).values
+        table = dp_counts(m, n_max, wanted)
+        swept = table.swept
         assert set(wanted) <= set(swept)
+        assert set(table.values) == set(wanted)
+        rows = dp_counts(m, n_max, swept).values
         for p, q in swept:
             assert set(source_rule(m, p, q)) <= set(swept), (p, q)
-            assert swept[(p, q)] == full[(p, q)], (m, p, q)
+            assert rows[(p, q)] == full[(p, q)], (m, p, q)
 
     check()
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_dp_window_matches_reference_every_short_length(m):
+    """Every n_max up to 3(m+1): below the ring, at its first wrap, and past it."""
+    top = 3 * (m + 1)
+    reference = reference_dp_counts(m, top)
+    for n_max in range(1, top + 1):
+        for wanted in ([(inf, inf)], [(0, 0)]):
+            table = dp_counts(m, n_max, wanted)
+            assert table.values == {s: reference[s][: n_max + 1] for s in wanted}, (m, n_max)
+            closure = source_closure(m, wanted)
+            assert table.swept == tuple(s for s in reference if s in closure)
+
+
+def test_dp_window_differential_hypothesis():
+    """Windowed sweep == the dict recursion == the full table, on random wanted sets."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, settings
+    from hypothesis import strategies as st
+
+    @st.composite
+    def cases(draw):
+        m = draw(st.integers(1, 12))
+        n_max = draw(st.integers(1, 3 * (m + 1)))
+        thresholds = list(range(m)) + [inf]
+        pairs = st.tuples(st.sampled_from(thresholds), st.sampled_from(thresholds))
+        wanted = draw(st.lists(pairs, min_size=1, max_size=8))
+        return m, n_max, wanted + draw(st.lists(st.sampled_from(wanted), max_size=3))
+
+    @settings(max_examples=60, deadline=None)
+    @given(cases())
+    @example((1, 2, [(0, 0)]))  # a ring of 2; the closure is the state alone
+    @example((1, 1, [(inf, inf), (inf, inf)]))
+    @example((4, 4, [(0, 0), (3, 1), (0, 0)]))  # n_max = m
+    @example((4, 5, [(inf, inf), (2, inf)]))  # n_max = m+1: the ring wraps once
+    @example((12, 39, [(11, 10), (inf, 11), (0, 0)]))
+    def check(case):
+        m, n_max, wanted = case
+        reference = reference_dp_counts(m, n_max)
+        full = dp_counts(m, n_max).values
+        table = dp_counts(m, n_max, wanted)
+        closure = source_closure(m, wanted)
+        assert table.swept == tuple(s for s in reference if s in closure)
+        assert list(table.values) == [s for s in table.swept if s in set(wanted)]
+        for state, row in table.values.items():
+            assert row == reference[state] == full[state], (m, n_max, state)
+
+    check()
+
+
+def test_dp_memory_is_the_ring():
+    """tracemalloc peak of the a_n sweep stays within the ring arithmetic.
+
+    The sweep holds m+1 counts for each of the (m+1)(m+2)/2 swept states
+    and n_max+1 for the wanted (inf, inf); each is a list slot of 8 bytes
+    and an int below 4^n_max (a count of length n is at most the Catalan
+    number C_n < 4^n).  Twice that covers the transient prefix sums and
+    the list and dict headers.  Full rows for every swept state peak
+    near ten times the ring.
+    """
+    m, n_max = 10, 200
+    held = (m + 1) * (m + 2) // 2 * (m + 1) + n_max + 1
+    bound = 2 * held * (sys.getsizeof(4**n_max) + 8)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        dp_counts(m, n_max, [(inf, inf)])
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= bound, (peak, bound)
 
 
 @pytest.mark.parametrize("bad", [[(3, inf)], [(inf, -1)], [(1.5, 0)], [("1", 0)], [inf], [(0, 1, 2)]])
