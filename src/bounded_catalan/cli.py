@@ -18,8 +18,10 @@ the brute-force oracle would run for minutes to hours, the same way.
 ``gf``, ``recurrence``, ``growth --pole on`` and ``enumerate`` with series
 counts reject m > MAX_GF_M (21), where the exact solve would take more
 than a minute, with exit code 2 before any counting or solving.
-Rational numbers are serialized as "p/q" strings in JSON output to avoid
-float loss.
+``graph`` rejects m > MAX_GRAPH_M (300), where W would take more than
+1.24 GB, the same way.  Exact coefficients are integers; JSON output writes those of
+``gf`` and ``recurrence`` as decimal strings, so none passes through a
+float.
 """
 
 from __future__ import annotations

@@ -30,7 +30,6 @@ state (inf, inf) is reachable; ``solve_system`` solves everything.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import inf
@@ -228,7 +227,7 @@ class Recurrence:
     """
 
     order: int
-    lag_coeffs: tuple[Fraction, ...]
+    lag_coeffs: tuple[int, ...]
     valid_from: int
 
     def extend(self, prefix: list, steps: int) -> list:
@@ -236,14 +235,9 @@ class Recurrence:
         if len(prefix) < self.valid_from:
             raise ValueError("prefix shorter than valid_from")
         seq = list(prefix)
-        # integral coefficients (all of them for a reduced denominator) multiply as ints
-        coeffs = [int(c) if c.denominator == 1 else c for c in self.lag_coeffs]
         for _ in range(steps):
             n = len(seq)
-            value = sum(c * seq[n - j] for j, c in enumerate(coeffs, start=1))
-            if isinstance(value, Fraction) and value.denominator == 1:
-                value = int(value)
-            seq.append(value)
+            seq.append(sum(c * seq[n - j] for j, c in enumerate(self.lag_coeffs, start=1)))
         return seq[len(prefix):]
 
 
@@ -313,11 +307,16 @@ def _solve_states(sys: StateSystem, wanted: set[State]):
     return solution, dets
 
 
-def _to_rational(num: list, den_ids: frozenset, dets: dict) -> RationalFn:
+def _den_product(den_ids: frozenset, dets: dict) -> list:
+    """The product of the component determinants dets[i], i in den_ids."""
     den = [1]
     for i in den_ids:
         den = _mul_i(den, dets[i])
-    return rf_reduce(ExactPoly(num), ExactPoly(den))
+    return den
+
+
+def _to_rational(num: list, den_ids: frozenset, dets: dict) -> RationalFn:
+    return rf_reduce(ExactPoly(num), ExactPoly(_den_product(den_ids, dets)))
 
 
 def solve_system(sys: StateSystem) -> dict[State, RationalFn]:
@@ -352,9 +351,7 @@ def generating_function(m: int) -> RationalFn:
     sys = build_system(m)
     solution, dets = _solve_states(sys, {sys.output_state})
     num, ids = solution[sys.output_state]
-    den = [1]
-    for i in ids:
-        den = _mul_i(den, dets[i])
+    den = _den_product(ids, dets)
     return rf_reduce(ExactPoly(_add_i(den, num)), ExactPoly(den))
 
 

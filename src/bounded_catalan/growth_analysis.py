@@ -231,9 +231,13 @@ def check_numeric_range(m: int) -> None:
     """Raise ValueError when the radius search of gap bound m leaves float
     range.  Its first product W_U(1) 1 has the row sum catalan(0) + ... +
     catalan(m-1) at state (m-1, inf), which overflows a float from
-    m = 520 on."""
+    m = 520 on.  The partial sums grow with k, so the check stops at the
+    first that overflows: at most 520 Catalan numbers for any m."""
+    total = 0
     try:
-        float(sum(catalan(k) for k in range(m)))
+        for k in range(m):
+            total += catalan(k)
+            float(total)
     except OverflowError:
         raise ValueError(
             f"m = {m} is beyond the growth analysis limit m <= 519: "

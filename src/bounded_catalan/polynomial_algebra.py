@@ -1,11 +1,13 @@
 """Exact univariate polynomial and rational-function arithmetic.
 
-Coefficients are arbitrary-precision rationals (``fractions.Fraction``);
-polynomials are dense, indexed by degree, with trailing zeros trimmed.
-On top of the ring arithmetic this module provides monic gcd, reduction
-of rational functions, power-series coefficient extraction, isolation of
-positive real roots by Descartes' rule of signs, and fraction-free
-(Bareiss-style) elimination for polynomial matrices.
+Coefficients are Python integers: every count, generating function and
+recurrence of the paper is integral, and every denominator built here
+has constant term +-1.  Polynomials are dense, indexed by degree, with
+trailing zeros trimmed.  On top of the ring arithmetic this module
+provides the primitive gcd over Z[x], reduction of rational functions,
+power-series coefficient extraction, isolation of positive real roots by
+Descartes' rule of signs, and fraction-free (Bareiss-style) elimination
+for polynomial matrices.
 
 Every gcd goes through ``_gcd_i``, which first tries a coprimality
 certificate: the primitive operands are reduced modulo the prime
@@ -18,9 +20,10 @@ tried), and it costs milliseconds where the integer pseudo-remainder sequence
 costs seconds.  Only when the image has positive degree, or P divides a
 leading coefficient, does the integer sequence run.
 
-The heavy elimination paths run on raw integer coefficient lists; the
-public types only wrap the results.  All operations are pure functions of
-their inputs.  Three kernels carry them, each exact by construction:
+Every path runs on raw integer coefficient lists, and the ring
+operations of ``ExactPoly`` call the same kernels.  All operations are
+pure functions of their inputs.  Three kernels carry them, each exact by
+construction:
 
 - ``_mul_i`` multiplies long operands by Kronecker substitution (von zur
   Gathen & Gerhard, §8.4): each operand is evaluated at 2^k by packing
@@ -49,7 +52,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import gcd as int_gcd
 from math import lcm as int_lcm
-from operator import mul
+from operator import index, mul
 from typing import Iterable, Sequence
 
 
@@ -59,7 +62,8 @@ class SingularBlockError(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # Integer-coefficient polynomial helpers (dense lists, index = degree).
-# These run the hot loops; ExactPoly wraps their results.
+# These run the hot loops.  ExactPoly hands them its coefficient tuples,
+# which _add_i, _sub_i, _mul_i, _scale_i and _gcd_i read like lists.
 # ---------------------------------------------------------------------------
 
 IntPoly = list
@@ -74,14 +78,14 @@ def _trim(c: IntPoly) -> IntPoly:
 def _add_i(a: IntPoly, b: IntPoly) -> IntPoly:
     if len(a) < len(b):
         a, b = b, a
-    out = a[:]
+    out = list(a)
     for i, v in enumerate(b):
         out[i] += v
     return _trim(out)
 
 
 def _sub_i(a: IntPoly, b: IntPoly) -> IntPoly:
-    out = a[:] + [0] * (len(b) - len(a))
+    out = list(a) + [0] * (len(b) - len(a))
     for i, v in enumerate(b):
         out[i] -= v
     return _trim(out)
@@ -240,7 +244,7 @@ def _primitive_i(a: IntPoly) -> IntPoly:
     if not a:
         return []
     g = _content_i(a)
-    return [c // g for c in a] if g > 1 else a[:]
+    return [c // g for c in a] if g > 1 else list(a)
 
 
 def _prem_i(a: IntPoly, b: IntPoly) -> IntPoly:
@@ -313,15 +317,17 @@ def _gcd_i(a: IntPoly, b: IntPoly) -> IntPoly:
 
 
 class ExactPoly:
-    """Dense univariate polynomial with exact rational coefficients."""
+    """Dense univariate polynomial with integer coefficients.
+
+    Each coefficient passes through ``operator.index``, so a rational or a
+    float is rejected with TypeError.  Sums, differences and products run
+    on the integer kernels above.
+    """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        self.coeffs = tuple(_trim([index(c) for c in coeffs]))
 
     # -- constructors ------------------------------------------------------
 
@@ -332,10 +338,6 @@ class ExactPoly:
     @classmethod
     def one(cls) -> "ExactPoly":
         return cls((1,))
-
-    @classmethod
-    def x(cls) -> "ExactPoly":
-        return cls((0, 1))
 
     @classmethod
     def monomial(cls, degree: int, coeff=1) -> "ExactPoly":
@@ -351,64 +353,29 @@ class ExactPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def constant_term(self) -> Fraction:
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+    def constant_term(self) -> int:
+        return self.coeffs[0] if self.coeffs else 0
 
-    def leading_coefficient(self) -> Fraction:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def coefficient(self, degree: int) -> Fraction:
+    def coefficient(self, degree: int) -> int:
         if 0 <= degree < len(self.coeffs):
             return self.coeffs[degree]
-        return Fraction(0)
-
-    def int_coeffs(self) -> IntPoly:
-        """Coefficients as plain integers; raises if any is non-integral."""
-        out = []
-        for c in self.coeffs:
-            if c.denominator != 1:
-                raise ValueError(f"non-integer coefficient {c}")
-            out.append(c.numerator)
-        return out
-
-    def _cleared(self) -> tuple[IntPoly, int]:
-        """(integer polynomial, positive scale) with self == intpoly / scale."""
-        scale = 1
-        for c in self.coeffs:
-            scale = int_lcm(scale, c.denominator)
-        return [int(c * scale) for c in self.coeffs], scale
+        return 0
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "ExactPoly") -> "ExactPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, v in enumerate(b):
-            out[i] += v
-        return ExactPoly(out)
+        return ExactPoly(_add_i(self.coeffs, other.coeffs))
 
     def __sub__(self, other: "ExactPoly") -> "ExactPoly":
-        return self + (-other)
+        return ExactPoly(_sub_i(self.coeffs, other.coeffs))
 
     def __neg__(self) -> "ExactPoly":
-        return ExactPoly([-c for c in self.coeffs])
+        return ExactPoly(_scale_i(self.coeffs, -1))
 
     def __mul__(self, other) -> "ExactPoly":
-        if isinstance(other, (int, Fraction)):
-            return ExactPoly([c * other for c in self.coeffs])
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return ExactPoly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return ExactPoly(out)
+        if isinstance(other, ExactPoly):
+            return ExactPoly(_mul_i(self.coeffs, other.coeffs))
+        return ExactPoly(_scale_i(self.coeffs, index(other)))
 
     __rmul__ = __mul__
 
@@ -425,7 +392,7 @@ class ExactPoly:
         return result
 
     def __call__(self, x):
-        """Horner evaluation; exact when x is a Fraction or int."""
+        """Horner evaluation; exact when x is an int or a rational."""
         acc = x * 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -468,9 +435,9 @@ class ExactPoly:
 class RationalFn:
     """Reduced ratio of two ExactPoly; construct via :func:`rf_reduce`.
 
-    Invariants: gcd(num, den) = 1 and the lowest-order nonzero coefficient
-    of den is +1 (well defined here because every denominator in this
-    artifact has nonzero constant term).
+    Invariants: num and den have no common factor in Z[x], neither a
+    polynomial one nor an integer one, and den(0) > 0.  Every generating
+    function built here has den(0) = 1.
     """
 
     __slots__ = ("num", "den")
@@ -489,9 +456,6 @@ class RationalFn:
     def __hash__(self):
         return hash((self.num, self.den))
 
-    def __call__(self, x):
-        return self.num(x) / self.den(x)
-
     def __str__(self) -> str:
         return f"({self.num}) / ({self.den})"
 
@@ -505,77 +469,53 @@ class RationalFn:
 
 
 def poly_gcd(a: ExactPoly, b: ExactPoly) -> ExactPoly:
-    """Monic greatest common divisor over Q.
+    """Greatest common divisor in Z[x]: primitive, with a positive leading
+    coefficient.
 
-    Internally the operands are cleared to integer polynomials and handed
-    to the integer gcd: the modular coprimality certificate first, then,
+    The integer gcd runs the modular coprimality certificate first, then,
     when it does not apply, a primitive pseudo-remainder sequence.
     """
-    if a.is_zero() and b.is_zero():
-        raise ValueError("gcd(0, 0) is undefined")
-    if a.is_zero():
-        g = b._cleared()[0]
-    elif b.is_zero():
-        g = a._cleared()[0]
-    else:
-        g = _gcd_i(a._cleared()[0], b._cleared()[0])
-    lead = Fraction(g[-1])
-    return ExactPoly([Fraction(c) / lead for c in g])
+    return ExactPoly(_gcd_i(a.coeffs, b.coeffs))
 
 
 def rf_reduce(num: ExactPoly, den: ExactPoly) -> RationalFn:
-    """Reduce num/den: divide out the gcd, then scale so the lowest-order
-    nonzero denominator coefficient is +1."""
+    """Reduce num/den: divide out the gcd and the common integer content,
+    then make den(0) positive.
+
+    When the reduced denominator's constant term is +-1, as for every
+    generating function of this package, that makes den(0) = 1.
+    """
     if den.is_zero():
         raise ZeroDivisionError("zero denominator")
     if den.constant_term() == 0:
         raise ValueError("denominator must have nonzero constant term")
     if num.is_zero():
         return RationalFn(ExactPoly(), ExactPoly.one())
-    ni, ns = num._cleared()
-    di, ds = den._cleared()
+    ni, di = list(num.coeffs), list(den.coeffs)
     g = _gcd_i(ni, di)
     if len(g) > 1:
         ni = _divexact_i(ni, g)
         di = _divexact_i(di, g)
-    # scale: den * (ds-adjust) ... lowest nonzero coefficient of den -> +1
-    low = next(c for c in di if c != 0)
-    num_scale = Fraction(ds, ns) / low
-    den_scale = Fraction(1, low)
+    content = int_gcd(_content_i(ni), _content_i(di))
+    if di[0] < 0:
+        content = -content
     return RationalFn(
-        ExactPoly([c * num_scale for c in ni]),
-        ExactPoly([c * den_scale for c in di]),
+        ExactPoly([c // content for c in ni]),
+        ExactPoly([c // content for c in di]),
     )
 
 
-def series_coeffs(f: RationalFn, n_max: int) -> list[Fraction]:
+def series_coeffs(f: RationalFn, n_max: int) -> list[int]:
     """First n_max + 1 Taylor coefficients of f at 0, via the linear
-    recurrence induced by the denominator.  Exact.
+    recurrence induced by the denominator.
 
-    When num and den are integral and den[0] == 1 (every generating
-    function built by this package) the recurrence runs on ``int`` and
-    only the results are wrapped as Fractions.
+    Needs den(0) == 1, which every generating function built by this
+    package has; the coefficients are then integers.  Raises ValueError
+    otherwise.
     """
-    den = f.den.coeffs
-    num = f.num.coeffs
-    if not den or den[0] == 0:
-        raise ValueError("denominator constant term must be nonzero")
-    if den[0] == 1 and all(c.denominator == 1 for c in num + den):
-        out_int = _series_int(f.num.int_coeffs(), f.den.int_coeffs(), n_max)
-        return [Fraction(c) for c in out_int]
-    d0 = den[0]
-    out: list[Fraction] = []
-    for n in range(n_max + 1):
-        acc = num[n] if n < len(num) else Fraction(0)
-        for j in range(1, min(n, len(den) - 1) + 1):
-            acc -= den[j] * out[n - j]
-        out.append(Fraction(acc) / d0)
-    return out
-
-
-def _series_int(num: IntPoly, den: IntPoly, n_max: int) -> list[int]:
-    """Series coefficients of num/den for an integer den with den[0] == 1."""
-    tail = den[1:]
+    num, tail = f.num.coeffs, f.den.coeffs[1:]
+    if f.den.constant_term() != 1:
+        raise ValueError("series coefficients need a denominator with constant term 1")
     out: list[int] = []
     for n in range(n_max + 1):
         acc = num[n] if n < len(num) else 0
@@ -672,7 +612,7 @@ def real_roots_positive(
     if not lo_f < hi_f:
         raise ValueError("empty interval")
 
-    pi = _primitive_i(p._cleared()[0])
+    pi = _primitive_i(p.coeffs)
     dpi = _trim([i * c for i, c in enumerate(pi)][1:])
     sf = _divexact_i(pi, _gcd_i(pi, dpi)) if dpi else pi
     tol_f = Fraction(tol)
@@ -714,7 +654,7 @@ def real_roots_positive(
 
 
 # ---------------------------------------------------------------------------
-# Fraction-free elimination for sparse polynomial matrices
+# Sparse fraction-free elimination for polynomial matrices
 # ---------------------------------------------------------------------------
 
 
@@ -723,7 +663,7 @@ def _solve_sparse_int(
     rhs: list[IntPoly] | None,
     require_nonsingular: bool = True,
 ) -> tuple[list[IntPoly] | None, IntPoly, IntPoly]:
-    """Fraction-free elimination of a square integer-polynomial matrix.
+    """Bareiss (fraction-free) elimination of a square integer-polynomial matrix.
 
     ``rows[i]`` maps column index to a nonzero integer polynomial; the
     structures are consumed.  Returns ``(nums, den, det)`` such that the
@@ -848,22 +788,6 @@ def poly_mat_det(mat: Sequence[Sequence[ExactPoly]]) -> ExactPoly:
     k = len(mat)
     if any(len(row) != k for row in mat):
         raise ValueError("matrix must be square")
-    if k == 0:
-        return ExactPoly.one()
-    rows: list[dict[int, IntPoly]] = []
-    scale = Fraction(1)
-    for row in mat:
-        cleared: dict[int, IntPoly] = {}
-        row_scale = 1
-        for entry in row:
-            for c in entry.coeffs:
-                row_scale = int_lcm(row_scale, c.denominator)
-        for j, entry in enumerate(row):
-            if not entry.is_zero():
-                cleared[j] = [int(c * row_scale) for c in entry.coeffs]
-        scale *= row_scale
-        rows.append(cleared)
+    rows = [{j: list(e.coeffs) for j, e in enumerate(row) if not e.is_zero()} for row in mat]
     _, _, det = _solve_sparse_int(rows, None, require_nonsingular=False)
-    if det == []:
-        return ExactPoly()
-    return ExactPoly([Fraction(c) / scale for c in det])
+    return ExactPoly(det)

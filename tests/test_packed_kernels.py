@@ -226,6 +226,6 @@ def test_descartes_matches_horner(case):
 
 def test_descartes_on_generating_function_denominators():
     for m in (2, 3, 5):
-        den = generating_function(m).den.int_coeffs()
+        den = list(generating_function(m).den.coeffs)
         for lo, hi in INTERVALS + [(Fraction(1, 4), Fraction(3, 8)), (Fraction(0), Fraction(1, 64))]:
             assert _descartes(den, lo, hi) == ref_descartes(den, lo, hi)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from bounded_catalan import cli, gf_solver, growth_analysis, state_system
-from bounded_catalan.core_combinatorics import c_kp, c_kp_table
+from bounded_catalan.core_combinatorics import c_kp, c_kp_table, catalan
 from bounded_catalan.gf_solver import generating_function
 from bounded_catalan.growth_analysis import check_numeric_range, growth_constants
 from bounded_catalan.state_system import build_system, thresholds
@@ -109,7 +109,31 @@ def test_numeric_range_limit_is_519():
         check_numeric_range(520)
 
 
-@pytest.mark.parametrize("argv", [["growth", "--m", "520"], ["table", "--m-list", "520"]])
+def test_numeric_range_stops_at_the_first_overflow(monkeypatch):
+    # the partial sums only grow, so the check reads at most 520 Catalan
+    # numbers whatever m is, instead of summing all m of them
+    calls = []
+
+    def counting(k):
+        calls.append(k)
+        if len(calls) > 521:
+            raise AssertionError("the check reads Catalan numbers past the first overflow")
+        return catalan(k)
+
+    monkeypatch.setattr(growth_analysis, "catalan", counting)
+    with pytest.raises(ValueError, match="m <= 519"):
+        check_numeric_range(10**6)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["growth", "--m", "520"],
+        ["table", "--m-list", "520"],
+        ["growth", "--m", "20000"],
+        ["table", "--m-list", "2,20000"],
+    ],
+)
 def test_growth_beyond_float_range_exits_2_without_building(capsys, monkeypatch, argv):
     def refuse(m, *args):
         raise AssertionError(f"the system or a product of m = {m} was built")
