@@ -13,8 +13,9 @@ routes do (``gf``, ``recurrence``, ``graph``, series counts and the pole
 data of ``growth``).  ``growth`` and ``table`` reject m > 519, where a
 row sum of the first radius product overflows a float, with exit code 2
 before any work is done.  ``table`` computes its m values one after another.
-``enumerate`` rejects an ``--oracle-cap`` outside 0..MAX_ORACLE_CAP (14), where
-the brute-force oracle would run for minutes to hours, the same way.
+``enumerate`` rejects an ``--oracle-cap`` outside 0..MAX_ORACLE_CAP (14) the
+same way: the brute-force oracle takes about 4 s to n = 14 at m = 30, and
+each further n costs about four times more.
 ``gf``, ``recurrence``, ``growth --pole on`` and ``enumerate`` with series
 counts reject m > MAX_GF_M (21), where the exact solve would take more
 than a minute, with exit code 2 before any counting or solving.
@@ -121,8 +122,7 @@ def cmd_enumerate(args) -> int:
         table = dp_counts(args.m, max(n_max, 1), states=[(inf, inf)])
         columns["dp"] = table.unrestricted()[: n_max + 1]
     if "series" in methods:
-        coeffs = series_coeffs(generating_function(args.m), n_max)
-        columns["series"] = [int(c) for c in coeffs]
+        columns["series"] = series_coeffs(generating_function(args.m), n_max)
     agree = None
     if args.method == "all":
         agree = True

@@ -9,18 +9,18 @@ Catalan prefix sum, and only the tail k > p+1 needs its own c_kp
 product.  Given wanted states it sweeps only their closure under the
 recursion's own source rule; a_n needs (m+1)(m+2)/2 states, and only two
 of their columns (q = m-1 and q = inf) carry a tail, so the products per
-n fall from about m^3/6 to about m^2.  A count reads back at most m
-lengths, so each swept state keeps its last m+1 counts in a ring and only
-the wanted states keep full rows: the sweep for a_n holds
-(m+1)(m+2)/2 * (m+1) + n+1 integers, not (m+1)(m+2)/2 * (n+1).  It
-takes its coefficients from ``c_kp`` and ``catalan`` alone, and its
-closure from that source rule,
-never from ``build_system``, ``c_kp_table`` or ``dependency_closure``, so
-it stays independent of the state-system route it checks.  ``solve_system`` and
-``generating_function`` instead solve the polynomial linear system
-(I - W(x)) F = x * 1 over rational functions, component by component in
-topological order, so only blocks of cyclic-component size are ever
-eliminated.  The two routes are cross-checked against each other (and
+n fall from about m^3/6 to about m^2.  A swept state (p, q) is read back
+only at lags m-p and 1, so it keeps its counts in a delay line of
+max(m-p, 1) + 1 and only the wanted states keep full rows: the sweep for
+a_n at m = 30 holds 5,922 counts in delay lines, against 15,376 in rings
+of m+1 and (m+1)(m+2)/2 * (n+1) in full rows.  It takes its
+coefficients from ``c_kp`` and ``catalan`` alone, and its closure from
+that source rule, never from ``build_system``, ``c_kp_table`` or
+``dependency_closure``, so it stays independent of the state-system
+route it checks.  ``solve_system`` and ``generating_function`` instead
+solve the polynomial linear system (I - W(x)) F = x * 1 over rational
+functions, component by component in topological order, so only blocks
+of cyclic-component size are ever eliminated.  The two routes are cross-checked against each other (and
 against brute force) in the test suite.
 
 ``generating_function`` only solves the states from which the output
@@ -150,12 +150,18 @@ def dp_counts(m: int, n_max: int, states=None) -> CountTable:
     ``catalan`` alone, never from the state system, so this route stays
     an independent check of ``generating_function``.
 
-    The count at length n reads back at most m lengths, so each swept
-    state keeps only its last m+1 counts, in a ring indexed by
-    n mod (m+1); only the wanted states also keep their full row.  The
-    sweep holds (m+1) integers per swept state plus n_max+1 per wanted
-    state: for [(inf, inf)], (m+1)(m+2)/2 * (m+1) + n_max + 1 in all,
-    against (m+1)(m+2)/2 * (n_max+1) for full rows.
+    A swept state (p, q) is read at two lags only: at lag m-p as the
+    column source (m-k, q-k) with k = m-p, and at lag 1 as the append
+    source (p-1, m-1).  So it keeps its counts in a delay line, a ring of
+    max(m-p, 1) + 1 slots indexed by n mod its size (2 for p = inf), and
+    only the wanted states also keep their full row.  The write slots,
+    and the append term T[(p-1, m-1)](n-1) that every target of a p
+    shares, are computed once per n for each p.  The sweep holds
+    the sum of the ring sizes over ``swept`` plus n_max+1 integers per
+    wanted state: for [(inf, inf)], 5,922 + n_max + 1 at m = 30 and
+    41,542 + n_max + 1 at m = 60, against (m+1) per swept state in rings
+    of m+1 (15,376 and 115,351) and (m+1)(m+2)/2 * (n_max+1) for full
+    rows.
     """
     for name, value in (("m", m), ("n_max", n_max)):
         if isinstance(value, bool) or not isinstance(value, int):
@@ -178,42 +184,47 @@ def dp_counts(m: int, n_max: int, states=None) -> CountTable:
             _check_threshold(q, m, "q")
             wanted.add(thresholds.index(p) * width + thresholds.index(q))
     swept = _source_closure(m, wanted)
-    # ring[n % width] = T(n) for the last m+1 lengths; slot 1 holds T(1) = 1
-    rings = {i: [0, 1] + [0] * (m - 1) for i in swept}
-    zeros = [0] * width  # the (p-1, m-1) term of p = 0
+    # the delay line of (p, q): ring[n % size[p_idx]] = T(n), read back at
+    # most max(m-p, 1) lengths; slot 1 holds T(1) = 1
+    size = [max(m - p, 1) + 1 for p in range(m)] + [2]
+    rings = {i: [0, 1] + [0] * (size[i // width] - 2) for i in swept}
+    # every target of p_idx adds T[(p-1, m-1)](n-1), inf - 1 = inf, from the
+    # ring shift_rings[p_idx] of size shift_size[p_idx]; p = 0 (and a p_idx
+    # with no swept target) reads zeros
+    zeros = [0] * width
+    shift_rings = [zeros] + [rings.get(_append_source(m, p), zeros) for p in range(1, width)]
+    shift_size = [1] + size[: m - 1] + [2]
     columns = []
     for q in range(width):
-        # each swept target: (p_idx, its ring, the ring of (p-1, m-1))
-        col = [
-            (p, rings[i], rings[_append_source(m, p)] if p else zeros)
-            for p in range(width)
-            if (i := p * width + q) in rings
-        ]
+        # each swept target: (p_idx, its ring)
+        col = [(p, rings[i]) for p in range(width) if (i := p * width + q) in rings]
         if col:
             columns.append(([rings[i] for i in _column_sources(m, q)], col))
     rows = {i: [0, 1] for i in swept if i in wanted}
-    kept = [(rows[i], rings[i]) for i in rows]
+    kept = [(rows[i], rings[i], i // width) for i in rows]
     prefix_coeffs = [catalan(k - 1) for k in range(1, m + 1)]
     tail_coeffs = [[c_kp(k, p) for k in range(p + 2, m + 1)] for p in range(m)]
     for n in range(2, n_max + 1):
-        slot = n % width
-        # the slots of lengths n-1, ..., max(n-m, 1), i.e. k = 1..min(m, n-1):
-        # no read reaches a length <= 0 (whose count is zero), nor the slot
-        # n mod (m+1) that this step overwrites
-        back = [j % width for j in range(n - 1, max(n - 1 - m, 0), -1)]
-        last = back[0]
+        # slot of T(n) in each p_idx's ring, and the append term
+        # T[(p-1, m-1)](n-1) of each p_idx; the column source k has p = m-k
+        # and a ring of k+1, so T(n-k) sits at slot (n-k) mod (k+1) for
+        # k = 1..min(m, n-1): no read reaches a length <= 0, nor a slot that
+        # this step overwrites
+        put = [n % r for r in size]
+        shift = list(map(getitem, shift_rings, [(n - 1) % r for r in shift_size]))
+        back = [(n - k) % (k + 1) for k in range(1, min(m + 1, n))]
         for src, col in columns:
             g = list(map(getitem, src, back))  # g[k-1] = T[(m-k, q-k)](n-k)
             prefix = [0, *accumulate(map(mul, prefix_coeffs, g))]
             split = len(g) - 1
             top = prefix[-1]
-            for p, ring, shift in col:
+            for p, ring in col:
                 if p < split:
-                    ring[slot] = prefix[p + 1] + sum(map(mul, tail_coeffs[p], g[p + 1 :])) + shift[last]
+                    ring[put[p]] = prefix[p + 1] + sum(map(mul, tail_coeffs[p], g[p + 1 :])) + shift[p]
                 else:
-                    ring[slot] = top + shift[last]
-        for row, ring in kept:
-            row.append(ring[slot])
+                    ring[put[p]] = top + shift[p]
+        for row, ring, p in kept:
+            row.append(ring[put[p]])
     values = {names[i]: row for i, row in rows.items()}
     return CountTable(m=m, n_max=n_max, values=values, swept=tuple(names[i] for i in swept))
 

@@ -1,6 +1,7 @@
 """Oracle-layer tests: pattern checks, brute counts, closed forms."""
 
 import itertools
+from functools import lru_cache
 from math import comb, inf
 
 import pytest
@@ -123,6 +124,88 @@ def test_pruned_search_matches_reference_generator(m):
         for min_first in range(1, n + 2):
             expected = list(reference_avoiders(n, m, min_first))
             assert list(iter_constrained_avoiders(n, m, min_first)) == expected, (n, min_first)
+
+
+@pytest.mark.parametrize(
+    "m, n", [(2, True), (True, 4), (2, 2.5), (2.0, 4), ("2", 4), (2, None), (False, 3)]
+)
+def test_brute_force_rejects_non_integer_sizes(m, n):
+    with pytest.raises(ValueError, match="must be an int"):
+        brute_force_count(m, n)
+
+
+def thresholds(m):
+    return list(range(m)) + [inf]
+
+
+def endpoint_count(perms, n, p, q):
+    """How many of ``perms`` have n - first <= p and n - last <= q."""
+    return sum(
+        1 for s in perms if (p == inf or n - s[0] <= p) and (q == inf or n - s[-1] <= q)
+    )
+
+
+@lru_cache(maxsize=None)
+def definition_avoiders(n):
+    """The 132-avoiders of length n, filtered from all n! permutations."""
+    return [s for s in itertools.permutations(range(1, n + 1)) if is_132_avoiding(s)]
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_brute_force_matches_the_definition(m):
+    """The generating-tree walk against the definition, every threshold pair."""
+    for n in range(1, 9):
+        perms = [s for s in definition_avoiders(n) if is_m_bounded(s, m)]
+        for p in thresholds(m):
+            for q in thresholds(m):
+                assert brute_force_count(m, n, p, q) == endpoint_count(perms, n, p, q), (n, p, q)
+    assert brute_force_count(m, 0) == 1
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_brute_force_matches_the_prefix_search(m):
+    """The walk against the endpoint distribution of iter_constrained_avoiders."""
+    for n in range(1, 11):
+        ends = {}
+        for s in iter_constrained_avoiders(n, m):
+            ends[s[0], s[-1]] = ends.get((s[0], s[-1]), 0) + 1
+        for p in thresholds(m):
+            for q in thresholds(m):
+                expected = sum(
+                    c
+                    for (first, last), c in ends.items()
+                    if (p == inf or n - first <= p) and (q == inf or n - last <= q)
+                )
+                assert brute_force_count(m, n, p, q) == expected, (n, p, q)
+
+
+def test_brute_force_unbounded_gaps_count_catalan():
+    # at m = 30 no gap of a permutation of length <= 12 can exceed m
+    assert [brute_force_count(30, n, oracle_cap=12) for n in range(13)] == [
+        catalan(n) for n in range(13)
+    ]
+
+
+def test_brute_force_differential_hypothesis():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @st.composite
+    def cases(draw):
+        m = draw(st.integers(1, 10))
+        n = draw(st.integers(1, 9))
+        pick = st.sampled_from(thresholds(m))
+        return m, n, draw(pick), draw(pick)
+
+    @settings(max_examples=150, deadline=None)
+    @given(cases())
+    def check(case):
+        m, n, p, q = case
+        perms = list(iter_constrained_avoiders(n, m))
+        assert brute_force_count(m, n, p, q) == endpoint_count(perms, n, p, q)
+
+    check()
 
 
 def test_brute_force_threshold_validation():

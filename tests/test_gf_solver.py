@@ -270,31 +270,72 @@ def test_dp_window_differential_hypothesis():
     check()
 
 
-def test_dp_memory_is_the_ring():
-    """tracemalloc peak of the a_n sweep stays within the ring arithmetic.
-
-    The sweep holds m+1 counts for each of the (m+1)(m+2)/2 swept states
-    and n_max+1 for the wanted (inf, inf); each is a list slot of 8 bytes
-    and an int below 4^n_max (a count of length n is at most the Catalan
-    number C_n < 4^n).  Twice that covers the transient prefix sums and
-    the list and dict headers.  Full rows for every swept state peak
-    near ten times the ring.
-    """
-    m, n_max = 10, 200
-    held = (m + 1) * (m + 2) // 2 * (m + 1) + n_max + 1
-    bound = 2 * held * (sys.getsizeof(4**n_max) + 8)
+def traced_peak(fn, *args):
+    """tracemalloc peak of fn(*args) above the memory traced before it."""
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        dp_counts(m, n_max, [(inf, inf)])
-        peak = tracemalloc.get_traced_memory()[1] - base
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         if not tracing:
             tracemalloc.stop()
+
+
+def test_dp_memory_is_the_ring():
+    """tracemalloc peak of the a_n sweep stays within rings of m+1.
+
+    The sweep holds at most m+1 counts for each of the (m+1)(m+2)/2
+    swept states and n_max+1 for the wanted (inf, inf); each is a list
+    slot of 8 bytes and an int below 4^n_max (a count of length n is at
+    most the Catalan number C_n < 4^n).  Twice that covers the transient
+    prefix sums and the list and dict headers.  Full rows for every swept
+    state peak near ten times the ring.
+    """
+    m, n_max = 10, 200
+    held = (m + 1) * (m + 2) // 2 * (m + 1) + n_max + 1
+    bound = 2 * held * (sys.getsizeof(4**n_max) + 8)
+    peak = traced_peak(dp_counts, m, n_max, [(inf, inf)])
     assert peak <= bound, (peak, bound)
+
+
+def delay_line(m, p):
+    """The counts a swept state (p, q) keeps: its reads reach back m-p and 1."""
+    return 2 if p == inf else max(m - p, 1) + 1
+
+
+def test_dp_memory_is_the_delay_lines():
+    """tracemalloc peak of the a_n sweep stays within its delay lines.
+
+    The sweep holds delay_line(m, p) counts for each swept state and
+    n_max+1 for the wanted (inf, inf), at the same size per count and the
+    same factor of two as ``test_dp_memory_is_the_ring``.  At (30, 60)
+    that is 5,922 + 61 counts and a bound of 0.59 MiB; the sweep peaks
+    near 0.41 MiB, and rings of m+1 for every swept state (15,376 counts)
+    near 0.83 MiB.
+    """
+    m, n_max = 30, 60
+    swept = dp_counts(m, 2, [(inf, inf)]).swept
+    lines = sum(delay_line(m, p) for p, _ in swept)
+    assert lines == 5922
+    held = lines + n_max + 1
+    bound = 2 * held * (sys.getsizeof(4**n_max) + 8)
+    peak = traced_peak(dp_counts, m, n_max, [(inf, inf)])
+    assert peak <= bound, (peak, bound)
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_dp_delay_lines_match_reference_every_short_length(m):
+    """Every state wanted, every n_max up to 3(m+1): each delay line of
+    size max(m-p, 1) + 1 fills, wraps once and wraps again."""
+    top = 3 * (m + 1)
+    reference = reference_dp_counts(m, top)
+    for n_max in range(1, top + 1):
+        table = dp_counts(m, n_max)
+        assert table.values == {s: row[: n_max + 1] for s, row in reference.items()}, n_max
 
 
 @pytest.mark.parametrize("bad", [[(3, inf)], [(inf, -1)], [(1.5, 0)], [("1", 0)], [inf], [(0, 1, 2)]])
