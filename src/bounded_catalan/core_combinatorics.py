@@ -123,10 +123,15 @@ def iter_constrained_avoiders(
     yield from extend((1 << (n + 1)) - 2, n + 1)
 
 
+def _check_int(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 def _check_threshold(t, m: int, name: str) -> None:
     if t == inf:
         return
-    if not isinstance(t, int) or not 0 <= t <= m - 1:
+    if isinstance(t, bool) or not isinstance(t, int) or not 0 <= t <= m - 1:
         raise ValueError(f"{name} must be in {{0,...,{m - 1}}} or inf, got {t!r}")
 
 
@@ -210,8 +215,9 @@ def brute_force_count(
     unrestricted count (both thresholds inf), where the empty permutation
     contributes 1; the endpoint-restricted counts start at n = 1.
     n above ``oracle_cap`` raises ``OracleCapError``, and ``oracle_cap``
-    above ``MAX_ORACLE_CAP`` raises ``ValueError``; so does an ``m`` or
-    ``n`` that is not an int (a bool included).
+    above ``MAX_ORACLE_CAP`` raises ``ValueError``; so does an ``m``,
+    ``n`` or ``oracle_cap`` that is not an int, or a threshold that is
+    neither an int nor inf (a bool included in both).
 
     The count walks the generating tree: the parent of a permutation of
     length L+1 is that permutation with its last entry deleted and the
@@ -232,9 +238,8 @@ def brute_force_count(
     leaves at depth n, which are counted as the set bits of their
     parent's mask of children.
     """
-    for name, value in (("m", m), ("n", n)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{name} must be an int, got {value!r}")
+    for name, value in (("m", m), ("n", n), ("oracle_cap", oracle_cap)):
+        _check_int(name, value)
     if m < 1:
         raise ValueError("m must be >= 1")
     if oracle_cap > MAX_ORACLE_CAP:
@@ -262,7 +267,9 @@ def catalan(k: int) -> int:
     return comb(2 * k, k) // (k + 1)
 
 
-@lru_cache(maxsize=None)
+# typed: a key equal to a cached one but of another type, such as
+# (3, 1.0) or (3, True) after (3, 1), must reach the checks.
+@lru_cache(maxsize=None, typed=True)
 def c_kp(k: int, p) -> int:
     """Number of admissible left blocks of length k-1 under first-entry bound p.
 
@@ -272,11 +279,14 @@ def c_kp(k: int, p) -> int:
 
         c_kp = sum_{d=1}^{min(p, k-1)} (d / (k-1)) * comb(2k - d - 3, k - 2)
 
-    with c_kp = catalan(k-1) once p >= k-1 or p = inf.
+    with c_kp = catalan(k-1) once p >= k-1 or p = inf.  A k that is not
+    an int, or a p that is neither an int nor inf, raises ValueError (a
+    bool included).
     """
+    _check_int("k", k)
     if k < 1:
         raise ValueError("k must be >= 1")
-    if p != inf and (not isinstance(p, int) or p < 0):
+    if p != inf and (isinstance(p, bool) or not isinstance(p, int) or p < 0):
         raise ValueError(f"p must be a nonnegative integer or inf, got {p!r}")
     if k == 1:
         return 1

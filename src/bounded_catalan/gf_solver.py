@@ -35,7 +35,7 @@ from itertools import accumulate
 from math import inf
 from operator import getitem, mul
 
-from .core_combinatorics import _check_threshold, c_kp, catalan
+from .core_combinatorics import _check_int, _check_threshold, c_kp, catalan
 from .polynomial_algebra import (
     ExactPoly,
     RationalFn,
@@ -164,8 +164,7 @@ def dp_counts(m: int, n_max: int, states=None) -> CountTable:
     rows.
     """
     for name, value in (("m", m), ("n_max", n_max)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{name} must be an int, got {value!r}")
+        _check_int(name, value)
     if m < 1 or n_max < 1:
         raise ValueError("need m >= 1 and n_max >= 1")
     width = m + 1

@@ -10,19 +10,40 @@ rho = min(r_U, r_V) of the generating function.
 
 The search never builds W: every product W_C(x) v comes from
 state_system.component_product, which reads the c_kp table alone and
-costs O(m^2), on the members of U and V given by the paper's structure
-(cyclic_members).  Float range ends at m = 519 (see
+costs O(m^2), on the members of U, V and I given by the paper's
+structure (cyclic_members).  Float range ends at m = 519 (see
 check_numeric_range).
 
 Numerics: spectral radii are bracketed by Collatz-Wielandt ratios
-(min_i (Bv)_i / v_i <= spr(B) <= max_i (Bv)_i / v_i for any positive v),
-which are valid bounds regardless of how the probe vector v was obtained.
-Power iteration runs on W_C(x) + I so that periodic components cannot
-stall it.  Bisection on x decides the sign of phi_C(x) - 1 through those
-certified bounds, and the probe vector is warm-started: each step iterates
-on from the vector the previous step ended with.  Only when a point is
-numerically indistinguishable from the radius does bisection fall back to
-the midpoint estimate.
+(min_i (Bv)_i / v_i <= spr(B) <= max_i (Bv)_i / v_i for any positive v;
+Wielandt 1950), which are valid bounds however the probe vector v was
+obtained.  Every radius question, spectral_radius_at and each point of
+component_radius, is keyed by m and a component tag ("U", "V" or "I")
+and runs through one loop, _cw_bracket, with one cap of
+RADIUS_MAX_STEPS power steps.  The power iteration runs on
+W_C(x) + I/4.  The shift keeps a periodic component from stalling it
+(at m = 2, V is a 2-cycle), and it is small because a shift s contracts
+the iterate near the radius by max |l + s| / (1 + s) per step, over the
+eigenvalues l other than spr = 1.  Dense spectra at the radius
+(m = 3..10, 20, 30, 50) give a second modulus |l2| of 0.03-0.26 on U
+and 0.37-0.53 on V, and contractions of 0.50-0.55 (U) and 0.49-0.70 (V)
+for s = 1 against 0.20-0.28 and 0.41-0.53 for s = 1/4.  The searches of
+the table's m-list (2..10, 20, 50, 100) take 1,452 products with I/4
+and 1,806 with I.
+
+Bisection on x decides the sign of phi_C(x) - 1 through those certified
+bounds, and the probe vector is warm-started: each step iterates on
+from the vector the previous step ended with.  Only when a point is
+numerically indistinguishable from the radius does bisection fall back
+to the midpoint estimate.
+
+spectral_radius_at reaches a width of 1e-12 within 473 steps for
+m = 2..10 and x in [0.01, 0.9], and within 252 steps for m = 20, 50 and
+100 at x up to 1.1 times the radius.  Far above the radius it can fail
+under any shift, and then raises RuntimeError after the cap: the
+bracket stalls at one ulp of a large spectral radius (m = 50, U at 1.5
+times the radius: spr = 1.66e7, width 1.9e-9), or it stays wide
+(m = 30, V at x = 0.9: [2.5e4, 6.6e7]).
 """
 
 from __future__ import annotations
@@ -36,14 +57,7 @@ import numpy as np
 from .core_combinatorics import catalan
 from .gf_solver import dp_counts, generating_function
 from .polynomial_algebra import real_roots_positive
-from .state_system import (
-    ComponentInfo,
-    ComponentProduct,
-    StateSystem,
-    component_product,
-    cyclic_members,
-    state_indices,
-)
+from .state_system import ComponentProduct, component_product, cyclic_members
 
 DEFAULT_TOL = 1e-10
 
@@ -51,9 +65,8 @@ DEFAULT_TOL = 1e-10
 # W_C(1/4) are bounded by 3/4), so bisection can start at 1/4.
 RADIUS_LOWER = 0.25
 
-# Power-iteration caps of one Collatz-Wielandt bracket: in
-# spectral_radius_at, and at each point component_radius tests.
-SPR_MAX_STEPS = 50000
+# Power steps of one Collatz-Wielandt bracket: in spectral_radius_at, and
+# at each point component_radius tests.
 RADIUS_MAX_STEPS = 3000
 
 
@@ -111,68 +124,65 @@ def _cw_bracket(
     product,
     v: np.ndarray,
     tol: float,
-    max_steps: int,
     stop_above: float | None = None,
     stop_below: float | None = None,
 ) -> tuple[float, float, np.ndarray]:
     """Certified bounds on spr(B) from Collatz-Wielandt ratios, where
     ``product`` is the map v -> B v of a nonnegative matrix B.
 
-    Iterates v <- (B + I) v; each iterate yields valid lower/upper
-    bounds min/max of (Bv/v) - 1, and the best pair seen is kept.  Stops
-    early once the bracket clears ``stop_above``/``stop_below``.
+    Each iterate v yields the valid bounds min/max of (Bv)/v, and the best
+    pair seen is kept; the next iterate is (B + I/4) v.  Runs at most
+    RADIUS_MAX_STEPS steps, and stops early once the bracket is narrower
+    than ``tol`` or clears ``stop_above``/``stop_below``.
     """
     best_lo, best_hi = 0.0, math.inf
-    for _ in range(max_steps):
-        w = product(v) + v
-        ratios = w / v
-        best_lo = max(best_lo, float(ratios.min()) - 1.0)
-        best_hi = min(best_hi, float(ratios.max()) - 1.0)
+    for _ in range(RADIUS_MAX_STEPS):
+        bv = product(v)
+        ratios = bv / v
+        best_lo = max(best_lo, float(ratios.min()))
+        best_hi = min(best_hi, float(ratios.max()))
         if stop_above is not None and best_lo > stop_above:
             break
         if stop_below is not None and best_hi < stop_below:
             break
         if best_hi - best_lo < tol:
             break
-        v = _positive(w)
+        v = _positive(bv + 0.25 * v)
     return best_lo, best_hi, v
 
 
-def _product(sys: StateSystem, comp: ComponentInfo) -> ComponentProduct:
-    """The product v -> W_C(x) v of a component; reads only sys.m and
-    comp.members, so nothing of W is needed."""
-    return component_product(sys.m, state_indices(sys.m, comp.members))
+def _tagged_product(m: int, tag: str) -> ComponentProduct:
+    """The product of the cyclic component ``tag`` ("U", "V" or "I") of gap
+    bound m.  Raises ValueError for another tag, for m < 2, and for
+    m > 519 (see check_numeric_range)."""
+    if tag not in ("U", "V", "I"):
+        raise ValueError(f"tag must be 'U', 'V' or 'I', got {tag!r}")
+    check_numeric_range(m)
+    return component_product(m, cyclic_members(m)[tag])
 
 
-def spectral_radius_at(
-    sys: StateSystem,
-    comp: ComponentInfo,
-    x: float,
-    tol: float = 1e-12,
-) -> float:
-    """spr(W_C(x)) for x > 0, converged to a Collatz-Wielandt bracket of
-    width < tol (midpoint reported).  Raises RuntimeError when the
-    bracket is still wider than tol after SPR_MAX_STEPS steps."""
-    if not comp.cyclic:
-        raise ValueError("spectral radius is defined on cyclic components")
+def spectral_radius_at(m: int, tag: str, x: float, tol: float = 1e-12) -> float:
+    """spr(W_C(x)) of the component ``tag`` ("U", "V" or "I") of gap bound
+    m, for x > 0, converged to a Collatz-Wielandt bracket of width < tol
+    (midpoint reported).  Raises ValueError for x <= 0 and for a tag or m
+    that _tagged_product rejects, and RuntimeError when the bracket is
+    still wider than tol after RADIUS_MAX_STEPS steps, which can happen
+    above the radius (see the module docstring)."""
     if x <= 0:
         raise ValueError("x must be positive")
-    cp = _product(sys, comp)
-    lo, hi, _ = _cw_bracket(cp.at(x), np.ones(cp.n), tol, SPR_MAX_STEPS)
+    cp = _tagged_product(m, tag)
+    lo, hi, _ = _cw_bracket(cp.at(x), np.ones(cp.n), tol)
     if not hi - lo < tol:
         raise RuntimeError(
-            f"spectral radius at x = {x} not converged after {SPR_MAX_STEPS} steps: "
+            f"spectral radius at x = {x} not converged after {RADIUS_MAX_STEPS} steps: "
             f"bracket [{lo}, {hi}] is wider than tol = {tol}"
         )
     return 0.5 * (lo + hi)
 
 
-def component_radius(
-    sys: StateSystem,
-    comp: ComponentInfo,
-    tol: float = DEFAULT_TOL,
-) -> tuple[float, float]:
-    """Bracket (lo, hi) of width < tol around the component radius r_C.
+def component_radius(m: int, tag: str, tol: float = DEFAULT_TOL) -> tuple[float, float]:
+    """Bracket (lo, hi) of width < tol around the radius r_C of the
+    component ``tag`` ("U", "V" or "I") of gap bound m.
 
     The radius is the unique x in (0, 1] with spr(W_C(x)) = 1.  The top
     endpoint is tested first: when the Collatz-Wielandt upper bound at
@@ -181,28 +191,19 @@ def component_radius(
     bisection on (1/4, 1) decides each midpoint through certified
     bounds; an undecidable midpoint (radius within float noise) falls
     back to the bracket midpoint estimate.  Raises ValueError for a tol
-    below the float spacing at 1 (see check_tol).
+    below the float spacing at 1 (see check_tol) and for a tag or m that
+    _tagged_product rejects.
     """
     check_tol(tol)
-    if not comp.cyclic:
-        raise ValueError("component radius is defined on cyclic components")
-    return _radius(_product(sys, comp), tol)
-
-
-def _radius(cp: ComponentProduct, tol: float) -> tuple[float, float]:
-    """The search of component_radius on the product of one component."""
-    _, hi1, v = _cw_bracket(
-        cp.at(1.0), np.ones(cp.n), 1e-13, RADIUS_MAX_STEPS, stop_above=1.0
-    )
+    cp = _tagged_product(m, tag)
+    _, hi1, v = _cw_bracket(cp.at(1.0), np.ones(cp.n), 1e-13, stop_above=1.0)
     if hi1 <= 1.0 + 1e-12:
         return (1.0, 1.0)
 
     lo, hi = RADIUS_LOWER, 1.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        blo, bhi, v = _cw_bracket(
-            cp.at(mid), v, 1e-14, RADIUS_MAX_STEPS, stop_above=1.0, stop_below=1.0
-        )
+        blo, bhi, v = _cw_bracket(cp.at(mid), v, 1e-14, stop_above=1.0, stop_below=1.0)
         if blo > 1.0:
             hi = mid
         elif bhi < 1.0:
@@ -260,10 +261,10 @@ def growth_constants(m: int, tol: float = DEFAULT_TOL) -> GrowthReport:
     For m = 1 the counts are eventually constant and alpha = 1.  For
     m >= 2, alpha = max(lambda_U, lambda_V) with a dominance tie declared
     when the two rates are within 10 * tol of each other (ties are
-    reported, never silently broken).  The radii come from the products
-    of component_product on the paper's U and V (cyclic_members); W is
-    never built.  Raises ValueError for m > 519 (see check_numeric_range)
-    or a tol below ulp(1.0) (see check_tol) before any work.
+    reported, never silently broken).  The radii come from
+    component_radius on the paper's U and V; W is never built.  Raises
+    ValueError for m > 519 (see check_numeric_range) or a tol below
+    ulp(1.0) (see check_tol) before any work.
     """
     check_tol(tol)
     if m < 1:
@@ -272,9 +273,8 @@ def growth_constants(m: int, tol: float = DEFAULT_TOL) -> GrowthReport:
     lower = catalan_lower_bound(m)
     if m == 1:
         return GrowthReport(m=1, tol=tol, alpha=1.0, lower_bound=lower, rho=1.0)
-    members = cyclic_members(m)
-    r_u = _radius(component_product(m, members["U"]), tol)
-    r_v = _radius(component_product(m, members["V"]), tol)
+    r_u = component_radius(m, "U", tol)
+    r_v = component_radius(m, "V", tol)
     mid_u = 0.5 * (r_u[0] + r_u[1])
     mid_v = 0.5 * (r_v[0] + r_v[1])
     lam_u = 1.0 / mid_u

@@ -659,16 +659,14 @@ def real_roots_positive(
 
 
 def _solve_sparse_int(
-    rows: list[dict[int, IntPoly]],
-    rhs: list[IntPoly] | None,
-    require_nonsingular: bool = True,
-) -> tuple[list[IntPoly] | None, IntPoly, IntPoly]:
+    rows: list[dict[int, IntPoly]], rhs: list[IntPoly]
+) -> tuple[list[IntPoly], IntPoly, IntPoly]:
     """Bareiss (fraction-free) elimination of a square integer-polynomial matrix.
 
     ``rows[i]`` maps column index to a nonzero integer polynomial; the
     structures are consumed.  Returns ``(nums, den, det)`` such that the
-    solution of A x = rhs is x_i = nums[i] / den with den = +-det(A); for
-    rhs None only the determinant is computed (``nums`` is None).
+    solution of A x = rhs is x_i = nums[i] / den with den = +-det(A).
+    Raises SingularBlockError when A is singular.
 
     Elimination runs in two phases.  While some active diagonal entry is
     the constant 1 (no self-feedback yet), that row is eliminated by plain
@@ -679,9 +677,6 @@ def _solve_sparse_int(
     fraction-free back substitution over the core determinant.
     """
     k = len(rows)
-    solving = rhs is not None
-    if not solving:
-        rhs = [[] for _ in range(k)]
     col_rows: list[set[int]] = [set() for _ in range(k)]
     for i, row in enumerate(rows):
         for c in row:
@@ -716,8 +711,7 @@ def _solve_sparse_int(
                 else:
                     rows[i].pop(c, None)
                     col_rows[c].discard(i)
-            if solving:
-                rhs[i] = _sub_i(rhs[i], _mul_i(f, rhs[r]))
+            rhs[i] = _sub_i(rhs[i], _mul_i(f, rhs[r]))
         active.discard(r)
         unit_pivots.append(r)
 
@@ -732,9 +726,7 @@ def _solve_sparse_int(
     for t in range(kk):
         cand = [i for i in range(t, kk) if M[i][t]]
         if not cand:
-            if require_nonsingular:
-                raise SingularBlockError("singular block in exact solve")
-            return None, [], []
+            raise SingularBlockError("singular block in exact solve")
         piv_i = min(cand, key=lambda i: (len(M[i][t]), sum(1 for z in M[i] if z)))
         if piv_i != t:
             M[t], M[piv_i] = M[piv_i], M[t]
@@ -758,8 +750,6 @@ def _solve_sparse_int(
 
     det_core = pivots[-1] if pivots else [1]
     det = _scale_i(det_core, sign)
-    if not solving:
-        return None, det_core, det
 
     # Back substitution: every unknown comes out as nums[i] / det_core.
     nums: list[IntPoly | None] = [None] * k
@@ -784,10 +774,14 @@ def _solve_sparse_int(
 
 
 def poly_mat_det(mat: Sequence[Sequence[ExactPoly]]) -> ExactPoly:
-    """Determinant of a square ExactPoly matrix by fraction-free elimination."""
+    """Determinant of a square ExactPoly matrix by fraction-free elimination:
+    the solve of A x = 0, whose singular case is the zero determinant."""
     k = len(mat)
     if any(len(row) != k for row in mat):
         raise ValueError("matrix must be square")
     rows = [{j: list(e.coeffs) for j, e in enumerate(row) if not e.is_zero()} for row in mat]
-    _, _, det = _solve_sparse_int(rows, None, require_nonsingular=False)
+    try:
+        _, _, det = _solve_sparse_int(rows, [[] for _ in range(k)])
+    except SingularBlockError:
+        return ExactPoly.zero()
     return ExactPoly(det)

@@ -211,8 +211,10 @@ def check_graph_range(m: int) -> None:
         )
 
 
-# Bounded: analyses share a system within one computation, and a long
-# table run should not keep every m's O(m^3) entries alive.
+# Cached, so that every caller of one m in a process shares one build;
+# bounded, because a system holds O(m^3) entries (1.24 GB at m = 300) and
+# a process that builds many m (the test suite, a library loop) should
+# not keep them all alive.
 @lru_cache(maxsize=8)
 def build_system(m: int) -> StateSystem:
     """Construct the (m+1)^2-state system for gap bound m.
@@ -285,11 +287,6 @@ def build_system(m: int) -> StateSystem:
             comp_of[sys.index[s]] = ci
     sys.comp_of = _read_only(np.array(comp_of, dtype=np.int32))
     return sys
-
-
-def state_indices(m: int, states) -> np.ndarray:
-    """The indices ``p_idx * (m+1) + q_idx`` of ``states`` (inf at index m)."""
-    return np.array([(m if p == INF else p) * (m + 1) + (m if q == INF else q) for p, q in states])
 
 
 # One m at a time: the U and V products of one m share it.
@@ -585,8 +582,6 @@ def dependency_closure(sys: StateSystem, targets) -> np.ndarray:
     """Mask of the states that the counts of ``targets`` (state indices)
     depend on, the targets included: a level-by-level walk from the
     targets to the sources of their entries."""
-    # Masks, not np.unique: its first call imports numpy.ma, which costs
-    # a cold CLI command about 10 ms.
     seen = np.zeros(len(sys.states), dtype=bool)
     seen[np.asarray(targets, dtype=np.intp)] = True
     frontier = np.flatnonzero(seen)

@@ -17,6 +17,7 @@ from bounded_catalan.core_combinatorics import (
     is_m_bounded,
     iter_constrained_avoiders,
 )
+from bounded_catalan.gf_solver import dp_counts
 
 
 def test_is_132_avoiding_trivia():
@@ -213,6 +214,39 @@ def test_brute_force_threshold_validation():
         brute_force_count(2, 3, 2, inf)  # finite thresholds live in 0..m-1
     with pytest.raises(ValueError):
         brute_force_count(2, 3, -1, inf)
+
+
+@pytest.mark.parametrize(
+    "fn, args, kwargs",
+    [
+        (brute_force_count, (2, 5, True), {}),
+        (brute_force_count, (2, 5, inf, False), {}),
+        (brute_force_count, (2, 5), {"oracle_cap": 5.5}),
+        (brute_force_count, (2, 1), {"oracle_cap": True}),
+        (dp_counts, (2, 5, [(True, False)]), {}),
+        (c_kp, (3, True), {}),
+        (c_kp, (3, 1.0), {}),
+        (c_kp, (3.0, 1), {}),
+        (c_kp, (True, 1), {}),
+    ],
+    ids=[
+        "oracle-p-bool",
+        "oracle-q-bool",
+        "oracle-cap-float",
+        "oracle-cap-bool",
+        "dp-threshold-bool",
+        "c_kp-p-bool",
+        "c_kp-p-float",
+        "c_kp-k-float",
+        "c_kp-k-bool",
+    ],
+)
+def test_rejects_bool_and_float_arguments(fn, args, kwargs):
+    # c_kp's cache holds (3, 1) and (1, 1), which equal the bad keys above:
+    # an equal key of another type must still reach the checks
+    assert c_kp(3, 1) == 1 and c_kp(1, 1) == 1
+    with pytest.raises(ValueError):
+        fn(*args, **kwargs)
 
 
 def test_catalan_values():

@@ -1,9 +1,11 @@
 """Perron radii, growth constants, dominant-pole asymptotics."""
 
+import sys
+
 import pytest
 import scipy.sparse.linalg as spla
 
-from bounded_catalan import growth_analysis
+from bounded_catalan import growth_analysis, state_system
 from bounded_catalan.gf_solver import dp_counts, generating_function
 from bounded_catalan.growth_analysis import (
     catalan_lower_bound,
@@ -15,55 +17,65 @@ from bounded_catalan.growth_analysis import (
     spectral_radius_at,
 )
 from bounded_catalan.polynomial_algebra import ExactPoly, poly_mat_det, real_roots_positive
-from bounded_catalan.state_system import build_system, component_matrix
-
-
-def cyclic_by_tag(sys):
-    return {c.tag: c for c in sys.sccs if c.cyclic}
+from bounded_catalan.state_system import MAX_GRAPH_M, build_system, component_matrix
 
 
 def test_spectral_radius_trivia():
-    sys2 = build_system(2)
-    comps = cyclic_by_tag(sys2)
-    assert spectral_radius_at(sys2, comps["I"], 1.0) == pytest.approx(1.0, abs=1e-12)
+    assert spectral_radius_at(2, "I", 1.0) == pytest.approx(1.0, abs=1e-12)
     rho2 = 0.6823278038280193
-    assert spectral_radius_at(sys2, comps["U"], rho2) == pytest.approx(1.0, abs=1e-8)
-    acyclic = next(c for c in sys2.sccs if not c.cyclic)
+    assert spectral_radius_at(2, "U", rho2) == pytest.approx(1.0, abs=1e-8)
     with pytest.raises(ValueError):
-        spectral_radius_at(sys2, acyclic, 0.5)
-    with pytest.raises(ValueError):
-        spectral_radius_at(sys2, comps["U"], -1.0)
+        spectral_radius_at(2, "U", -1.0)
 
 
 @pytest.mark.parametrize("m", (2, 3, 4))
 def test_spectral_radius_strictly_increasing(m):
-    sys_m = build_system(m)
-    for comp in sys_m.sccs:
-        if not comp.cyclic:
-            continue
-        values = [
-            spectral_radius_at(sys_m, comp, x) for x in (0.01, 0.1, 0.3, 0.5, 0.9)
-        ]
+    for tag in "UVI":
+        values = [spectral_radius_at(m, tag, x) for x in (0.01, 0.1, 0.3, 0.5, 0.9)]
         for a, b in zip(values, values[1:]):
             assert a < b + 1e-12
 
 
 def test_spectral_radius_raises_when_not_converged(monkeypatch):
-    sys3 = build_system(3)
-    monkeypatch.setattr(growth_analysis, "SPR_MAX_STEPS", 1)
+    monkeypatch.setattr(growth_analysis, "RADIUS_MAX_STEPS", 1)
     with pytest.raises(RuntimeError, match="bracket"):
-        spectral_radius_at(sys3, cyclic_by_tag(sys3)["U"], 0.5)
+        spectral_radius_at(3, "U", 0.5)
+
+
+@pytest.mark.parametrize(
+    "m, tag", [(5, "W"), (5, "acyclic_singleton"), (5, None), (1, "U"), (520, "U"), (520, "V")]
+)
+def test_radius_api_rejects_unknown_tag_and_m_out_of_range(m, tag):
+    with pytest.raises(ValueError):
+        component_radius(m, tag)
+    with pytest.raises(ValueError):
+        spectral_radius_at(m, tag, 0.3)
+
+
+def test_radius_api_beyond_graph_range_never_builds_w(monkeypatch):
+    def refuse(m):
+        raise AssertionError(f"build_system({m}) was called")
+
+    # every binding, by-name imports included
+    real = state_system.build_system
+    for name, module in list(sys.modules.items()):
+        if name.startswith("bounded_catalan"):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, refuse)
+    m = MAX_GRAPH_M + 1  # W is refused here, and never needed
+    report = growth_constants.__wrapped__(m)
+    for tag, expected in (("U", report.r_U), ("V", report.r_V)):
+        assert [x.hex() for x in component_radius(m, tag)] == [x.hex() for x in expected]
+        assert spectral_radius_at(m, tag, 0.25) < 1.0  # below every radius
 
 
 def test_component_radius_exact_ones():
     for m in (2, 3, 4, 5, 6):
-        sys_m = build_system(m)
-        comps = cyclic_by_tag(sys_m)
-        assert component_radius(sys_m, comps["I"]) == (1.0, 1.0)
-        lo, hi = component_radius(sys_m, comps["U"])
+        assert component_radius(m, "I") == (1.0, 1.0)
+        lo, hi = component_radius(m, "U")
         assert hi < 1.0  # r_U < 1 always
-    sys2 = build_system(2)
-    assert component_radius(sys2, cyclic_by_tag(sys2)["V"]) == (1.0, 1.0)
+    assert component_radius(2, "V") == (1.0, 1.0)
 
 
 @pytest.mark.parametrize("m", range(2, 7))
@@ -71,9 +83,8 @@ def test_radius_agrees_with_determinant_root(m):
     """Bisection radius of U_m == smallest positive root of det(I - W_U)."""
     tol = 1e-10
     sys_m = build_system(m)
-    comp = cyclic_by_tag(sys_m)["U"]
-    lo, hi = component_radius(sys_m, comp, tol)
-    mat = component_matrix(sys_m, comp)
+    lo, hi = component_radius(m, "U", tol)
+    mat = component_matrix(sys_m, next(c for c in sys_m.sccs if c.tag == "U"))
     k = len(mat)
     iw = [
         [(ExactPoly.one() if i == j else ExactPoly.zero()) - mat[i][j] for j in range(k)]
@@ -141,6 +152,34 @@ RADIUS_BRACKETS = {
 }
 
 
+def test_table_searches_make_at_most_1500_products(monkeypatch):
+    """The 24 radius searches of the table's m-list make 1,452 products
+    W_C(x) v on W_C(x) + I/4 (1,806 on W_C(x) + I); the count is
+    deterministic."""
+    real = growth_analysis.component_product
+    products = []
+
+    def counting(m, members):
+        cp = real(m, members)
+
+        def at(x):
+            product = cp.at(x)
+
+            def counted(v):
+                products.append(m)
+                return product(v)
+
+            return counted
+
+        return cp._replace(at=at)
+
+    monkeypatch.setattr(growth_analysis, "component_product", counting)
+    for m in RADIUS_BRACKETS:
+        growth_constants.__wrapped__(m)  # uncached: the search runs here
+    assert sorted(set(products)) == sorted(RADIUS_BRACKETS)
+    assert len(products) <= 1500
+
+
 def test_radius_brackets_pinned_and_every_step_certified(monkeypatch):
     def no_eigs(*args, **kwargs):
         raise AssertionError("the radius search must not call a sparse eigensolver")
@@ -149,19 +188,15 @@ def test_radius_brackets_pinned_and_every_step_certified(monkeypatch):
     real = growth_analysis._cw_bracket
     decisions = []
 
-    def checked(matrix, v, tol, max_steps, stop_above=None, stop_below=None):
-        blo, bhi, v = real(matrix, v, tol, max_steps, stop_above, stop_below)
+    def checked(product, v, tol, stop_above=None, stop_below=None):
+        blo, bhi, v = real(product, v, tol, stop_above, stop_below)
         if stop_below is not None:  # a bisection step, not the test at x = 1
             decisions.append(blo > 1.0 or bhi < 1.0)
         return blo, bhi, v
 
     monkeypatch.setattr(growth_analysis, "_cw_bracket", checked)
     for m, expected in RADIUS_BRACKETS.items():
-        sys_m = build_system(m)
-        comps = cyclic_by_tag(sys_m)
-        brackets = tuple(
-            tuple(x.hex() for x in component_radius(sys_m, comps[tag])) for tag in "UV"
-        )
+        brackets = tuple(tuple(x.hex() for x in component_radius(m, tag)) for tag in "UV")
         assert brackets == expected, m
     assert decisions and all(decisions)
 
@@ -191,8 +226,8 @@ def test_every_step_certified_at_m300(monkeypatch):
     real = growth_analysis._cw_bracket
     decisions = []
 
-    def checked(product, v, tol, max_steps, stop_above=None, stop_below=None):
-        blo, bhi, v = real(product, v, tol, max_steps, stop_above, stop_below)
+    def checked(product, v, tol, stop_above=None, stop_below=None):
+        blo, bhi, v = real(product, v, tol, stop_above, stop_below)
         if stop_below is not None:
             decisions.append(blo > 1.0 or bhi < 1.0)
         return blo, bhi, v
