@@ -9,13 +9,7 @@ classification and writes a Graphviz rendering.
 
 from pathlib import Path
 
-from bounded_catalan import (
-    build_system,
-    component_matrix,
-    output_accessible,
-    to_dot,
-    weighted_period,
-)
+from bounded_catalan import build_system, component_matrix, output_accessible, to_dot
 
 M = 3
 sys_m = build_system(M)
@@ -26,7 +20,7 @@ for comp in sys_m.sccs:
         reach = output_accessible(sys_m, comp)
         print(
             f"cyclic component {comp.tag}: {len(comp.members)} state(s), "
-            f"weighted period {weighted_period(sys_m, comp)}, "
+            f"weighted period {comp.weighted_period}, "
             f"reaches output: {reach}"
         )
         for row in component_matrix(sys_m, comp):

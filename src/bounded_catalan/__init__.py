@@ -12,12 +12,6 @@ from .core_combinatorics import brute_force_count, catalan
 from .gf_solver import dp_counts, generating_function, recurrence, recurrence_order_bound
 from .growth_analysis import dominant_pole_asymptotics, growth_constants
 from .polynomial_algebra import series_coeffs
-from .state_system import (
-    build_system,
-    component_matrix,
-    output_accessible,
-    to_dot,
-    weighted_period,
-)
+from .state_system import build_system, component_matrix, output_accessible, to_dot
 
 __version__ = "0.1.0"

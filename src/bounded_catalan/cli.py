@@ -19,10 +19,11 @@ each further n costs about four times more.
 ``gf``, ``recurrence``, ``growth --pole on`` and ``enumerate`` with series
 counts reject m > MAX_GF_M (21), where the exact solve would take more
 than a minute, with exit code 2 before any counting or solving.
-``graph`` rejects m > MAX_GRAPH_M (300), where W would take more than
-1.24 GB, the same way.  Exact coefficients are integers; JSON output writes those of
-``gf`` and ``recurrence`` as decimal strings, so none passes through a
-float.
+``graph`` rejects m > MAX_GRAPH_M (300) the same way: at m = 300 a cold
+``graph`` takes 6.6-7.7 s and 1.13 GB with ``--format plain``, and 36 s
+and 3.55 GB with the default ``--format dot``.  Exact coefficients are
+integers; JSON output writes those of ``gf`` and ``recurrence`` as
+decimal strings, so none passes through a float.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
 from math import inf
 
 from .core_combinatorics import DEFAULT_ORACLE_CAP, MAX_ORACLE_CAP, brute_force_count
@@ -199,31 +201,13 @@ def cmd_recurrence(args) -> int:
     return EXIT_OK
 
 
-def _report_payload(report) -> dict:
-    return {
-        "m": report.m,
-        "tol": report.tol,
-        "alpha": report.alpha,
-        "lower_bound": report.lower_bound,
-        "lambda_U": report.lambda_U,
-        "lambda_V": report.lambda_V,
-        "r_U": list(report.r_U) if report.r_U else None,
-        "r_V": list(report.r_V) if report.r_V else None,
-        "dominant_component": report.dominant_component,
-        "rho": report.rho,
-        "pole_simple": report.pole_simple,
-        "kappa": report.kappa,
-        "next_pole_modulus": report.next_pole_modulus,
-    }
-
-
 def cmd_growth(args) -> int:
     include_pole = {"on": True, "off": False, "auto": None}[args.pole]
     if include_pole:
         check_gf_range(args.m)
     report = full_growth_report(args.m, args.tol, include_pole=include_pole)
     if args.format == "json":
-        _emit_json(_report_payload(report))
+        _emit_json(asdict(report))
         return EXIT_OK
     print(f"m = {report.m}")
     if report.lambda_U is not None:
@@ -265,7 +249,7 @@ def cmd_table(args) -> int:
         check_numeric_range(m)
     reports = [growth_constants(m, args.tol) for m in ms]
     if args.format == "json":
-        _emit_json([_report_payload(r) for r in reports])
+        _emit_json([asdict(r) for r in reports])
         return EXIT_OK
     writer = csv.writer(sys.stdout)
     writer.writerow(["m", "lambda_U", "lambda_V", "alpha", "lower_bound"])

@@ -57,7 +57,7 @@ import numpy as np
 from .core_combinatorics import catalan
 from .gf_solver import dp_counts, generating_function
 from .polynomial_algebra import real_roots_positive
-from .state_system import ComponentProduct, component_product, cyclic_members
+from .state_system import component_product
 
 DEFAULT_TOL = 1e-10
 
@@ -151,26 +151,18 @@ def _cw_bracket(
     return best_lo, best_hi, v
 
 
-def _tagged_product(m: int, tag: str) -> ComponentProduct:
-    """The product of the cyclic component ``tag`` ("U", "V" or "I") of gap
-    bound m.  Raises ValueError for another tag, for m < 2, and for
-    m > 519 (see check_numeric_range)."""
-    if tag not in ("U", "V", "I"):
-        raise ValueError(f"tag must be 'U', 'V' or 'I', got {tag!r}")
-    check_numeric_range(m)
-    return component_product(m, cyclic_members(m)[tag])
-
-
 def spectral_radius_at(m: int, tag: str, x: float, tol: float = 1e-12) -> float:
     """spr(W_C(x)) of the component ``tag`` ("U", "V" or "I") of gap bound
     m, for x > 0, converged to a Collatz-Wielandt bracket of width < tol
-    (midpoint reported).  Raises ValueError for x <= 0 and for a tag or m
-    that _tagged_product rejects, and RuntimeError when the bracket is
-    still wider than tol after RADIUS_MAX_STEPS steps, which can happen
-    above the radius (see the module docstring)."""
+    (midpoint reported).  Raises ValueError for x <= 0, for m > 519 (see
+    check_numeric_range) and for a tag or m that component_product
+    rejects, and RuntimeError when the bracket is still wider than tol
+    after RADIUS_MAX_STEPS steps, which can happen above the radius (see
+    the module docstring)."""
     if x <= 0:
         raise ValueError("x must be positive")
-    cp = _tagged_product(m, tag)
+    check_numeric_range(m)
+    cp = component_product(m, tag)
     lo, hi, _ = _cw_bracket(cp.at(x), np.ones(cp.n), tol)
     if not hi - lo < tol:
         raise RuntimeError(
@@ -191,11 +183,12 @@ def component_radius(m: int, tag: str, tol: float = DEFAULT_TOL) -> tuple[float,
     bisection on (1/4, 1) decides each midpoint through certified
     bounds; an undecidable midpoint (radius within float noise) falls
     back to the bracket midpoint estimate.  Raises ValueError for a tol
-    below the float spacing at 1 (see check_tol) and for a tag or m that
-    _tagged_product rejects.
+    below the float spacing at 1 (see check_tol), for m > 519 (see
+    check_numeric_range) and for a tag or m that component_product rejects.
     """
     check_tol(tol)
-    cp = _tagged_product(m, tag)
+    check_numeric_range(m)
+    cp = component_product(m, tag)
     _, hi1, v = _cw_bracket(cp.at(1.0), np.ones(cp.n), 1e-13, stop_above=1.0)
     if hi1 <= 1.0 + 1e-12:
         return (1.0, 1.0)

@@ -24,20 +24,21 @@ target t occupy positions ``pred_ptr[t]:pred_ptr[t+1]`` of ``pred_src``
 position ``(k-1) * (m+1) + p_idx`` of the coefficient in the flattened
 c_kp table ``coeffs``).  Within a target the split entries come in
 increasing k, then the append entry, whose coefficient 1 is the k = 1
-table row.  ``succ_ptr``/``succ_tgt`` hold the same edges by source with
-targets increasing.  The arrays are read-only and shared: build_system
+table row.  These arrays are the only stored form of W: the entry view,
+the component blocks (component_edges), the weighted periods and the DOT
+export all read them.  They are read-only and shared: build_system
 builds one system per m and caches it.
 
 The numeric growth path needs no build.  cyclic_members gives the
 states of the cyclic components U, V and I from the paper's structure
 (build_system checks its components against them), and
-component_product evaluates W_C(x) v on one of them from the c_kp table
-in O(m^2), against the O(m^3) entries of W.
+component_product evaluates W_C(x) v on one of them, named by its tag,
+from the c_kp table in O(m^2), against the O(m^3) entries of W.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, ItemsView, Mapping, ValuesView
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from math import inf
@@ -84,7 +85,6 @@ class StateSystem:
     the module docstring).  Every entry is one monomial c * x^k with
     c > 0 and 1 <= k <= m.  ``entries`` is a read-only Mapping view
     (target, source) -> (degree, coefficient) over the arrays.
-    ``comp_of`` maps each state index to its position in ``sccs``.
     Immutable after build, and shared by every caller of build_system.
     """
 
@@ -96,10 +96,7 @@ class StateSystem:
     pred_src: np.ndarray
     pred_deg: np.ndarray
     pred_cidx: np.ndarray
-    succ_ptr: np.ndarray
-    succ_tgt: np.ndarray
     sccs: tuple[ComponentInfo, ...] = ()
-    comp_of: np.ndarray | None = None
 
     @property
     def output_state(self) -> State:
@@ -108,12 +105,6 @@ class StateSystem:
     @property
     def entries(self) -> Mapping:
         return _EntryView(self)
-
-    def successors(self, s: int) -> list[int]:
-        return self.succ_tgt[self.succ_ptr[s] : self.succ_ptr[s + 1]].tolist()
-
-    def component_of(self, state: State) -> ComponentInfo:
-        return self.sccs[self.comp_of[self.index[state]]]
 
 
 class _EntryView(Mapping):
@@ -139,30 +130,7 @@ class _EntryView(Mapping):
         return len(self._sys.pred_src)
 
     def __iter__(self):
-        targets = np.repeat(np.arange(len(self._sys.states)), np.diff(self._sys.pred_ptr))
-        return zip(targets.tolist(), self._sys.pred_src.tolist())
-
-    def _values(self):
-        coeffs = self._sys.coeffs
-        return zip(
-            self._sys.pred_deg.tolist(), (coeffs[c] for c in self._sys.pred_cidx.tolist())
-        )
-
-    def items(self):
-        return _EntryItems(self)
-
-    def values(self):
-        return _EntryValues(self)
-
-
-class _EntryItems(ItemsView):
-    def __iter__(self):
-        return zip(self._mapping, self._mapping._values())
-
-
-class _EntryValues(ValuesView):
-    def __iter__(self):
-        return self._mapping._values()
+        return zip(_targets(self._sys).tolist(), self._sys.pred_src.tolist())
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -173,6 +141,11 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 def _offsets(counts: np.ndarray) -> np.ndarray:
     """CSR pointer array from per-row counts."""
     return _read_only(np.concatenate(([0], np.cumsum(counts))))
+
+
+def _targets(sys: StateSystem) -> np.ndarray:
+    """The target of every entry of W, in stored order."""
+    return np.repeat(np.arange(len(sys.states)), np.diff(sys.pred_ptr))
 
 
 def _ranges(ptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -195,24 +168,26 @@ def is_append_edge(sys: StateSystem, target: State, source: State) -> bool:
     return source == ((p - 1) if p != INF else INF, sys.m - 1)
 
 
-# Largest m for which W is built: W has O(m^3) entries, and a cold
-# ``graph --m 300 --format plain`` takes 5.7-7.2 s and a peak RSS of
-# 1.24 GB on a 2-core Intel Xeon (Python 3.11).
+# Largest m for which W is built: W has O(m^3) entries (13.6 million at
+# m = 300).  A cold ``graph --m 300`` takes 6.6-7.7 s and a peak RSS of
+# 1.13 GB with ``--format plain``, and 36 s and 3.55 GB with the default
+# ``--format dot``, on a 2-core Intel Xeon (Python 3.11).
 MAX_GRAPH_M = 300
 
 
 def check_graph_range(m: int) -> None:
-    """Raise ValueError for m > MAX_GRAPH_M, where W would take more than
-    1.24 GB."""
+    """Raise ValueError for m > MAX_GRAPH_M, where ``graph`` would take
+    more than 1.13 GB (plain) or 3.55 GB (DOT)."""
     if m > MAX_GRAPH_M:
         raise ValueError(
             f"m={m} exceeds MAX_GRAPH_M={MAX_GRAPH_M}, the largest m whose state "
-            "system W is built (its O(m^3) entries take 1.24 GB at m = 300)"
+            "system W is built (W has O(m^3) entries: at m = 300, graph takes "
+            "1.13 GB with --format plain and 3.55 GB with --format dot)"
         )
 
 
 # Cached, so that every caller of one m in a process shares one build;
-# bounded, because a system holds O(m^3) entries (1.24 GB at m = 300) and
+# bounded, because a system holds O(m^3) entries (330 MB at m = 300) and
 # a process that builds many m (the test suite, a library loop) should
 # not keep them all alive.
 @lru_cache(maxsize=8)
@@ -265,7 +240,6 @@ def build_system(m: int) -> StateSystem:
         t, s = divmod(int(keys[dup[0]]), n)
         raise StructureError(f"duplicate matrix entry for {states[t]} <- {states[s]}")
 
-    by_source = np.argsort(src, kind="stable")  # stable: targets stay increasing
     sys = StateSystem(
         m=m,
         states=states,
@@ -275,17 +249,16 @@ def build_system(m: int) -> StateSystem:
         pred_src=_read_only(src),
         pred_deg=_read_only(deg),
         pred_cidx=_read_only(cidx),
-        succ_ptr=_offsets(np.bincount(src, minlength=n)),
-        succ_tgt=_read_only(tgt[by_source]),
     )
     self_loop = np.zeros(n, dtype=bool)
     self_loop[tgt[tgt == src]] = True
-    sys.sccs = _decompose(sys, self_loop)
-    comp_of = [0] * n
-    for ci, comp in enumerate(sys.sccs):
-        for s in comp.members:
-            comp_of[sys.index[s]] = ci
-    sys.comp_of = _read_only(np.array(comp_of, dtype=np.int32))
+    # Tarjan walks the edges by source, targets increasing (a stable sort);
+    # its lists are temporaries that die before the weighted periods run
+    raw = _tarjan_sccs(
+        _offsets(np.bincount(src, minlength=n)).tolist(),
+        tgt[np.argsort(src, kind="stable")].tolist(),
+    )
+    sys.sccs = _decompose(sys, raw, self_loop)
     return sys
 
 
@@ -310,15 +283,16 @@ class ComponentProduct(NamedTuple):
     at: Callable[[float], Callable[[np.ndarray], np.ndarray]]
 
 
-def component_product(m: int, members) -> ComponentProduct:
-    """The product v -> W_C(x) v on a cyclic component C, from the c_kp
-    table alone, without building W.
+def component_product(m: int, tag: str) -> ComponentProduct:
+    """The product v -> W_C(x) v on the cyclic component C named ``tag``
+    ("U", "V" or "I") of gap bound m, from the c_kp table alone, without
+    building W.  Raises ValueError for another tag and for m < 2.
 
-    ``members`` are C's state indices in increasing order (see
-    cyclic_members), and local index i stands for members[i].  Target
-    (p, q) receives c_kp(k, p) x^k v(m-k, q-k) for k <= K_q (K_q = q for
-    finite q, m for q = inf), plus x v(p-1, m-1) for p >= 1 (inf - 1 =
-    inf).  Since c_kp(k, p) = catalan(k-1) for k <= p+1, the product
+    Local index i stands for the i-th state of cyclic_members(m)[tag], in
+    increasing order.  Target (p, q) receives c_kp(k, p) x^k v(m-k, q-k)
+    for k <= K_q (K_q = q for finite q, m for q = inf), plus x v(p-1, m-1)
+    for p >= 1 (inf - 1 = inf).  Since c_kp(k, p) = catalan(k-1) for
+    k <= p+1, the product
     - gathers D[k, q] = v(m-k, q-k), zero for q - k < 0 and for sources
       outside C, and v(m-k, inf) for q = inf;
     - takes the column prefix sums over k of catalan(k-1) x^k D and reads
@@ -328,11 +302,13 @@ def component_product(m: int, members) -> ComponentProduct:
       q = m-1 and q = inf only;
     - adds the append term x v(p-1, m-1).
     On U, V and I those are the only targets with a tail: K_q <= p+1 on
-    V's targets q < p and on I.  Other targets would need one elsewhere;
-    they are never read.  Each product costs O(m^2).
+    V's targets q < p and on I.  Each product costs O(m^2).
     """
+    components = cyclic_members(m)  # raises for m < 2
+    if not (isinstance(tag, str) and tag in components):
+        raise ValueError(f"tag must be 'U', 'V' or 'I', got {tag!r}")
     catalans, tail = _split_weights(m)
-    members = np.asarray(members, dtype=np.int64)
+    members = components[tag]
     n1 = m + 1
     zero = n1 * n1  # a slot past the last state that stays 0
     p, q = np.divmod(members, n1)
@@ -449,8 +425,12 @@ def cyclic_members(m: int) -> dict[str, np.ndarray]:
     }
 
 
-def _decompose(sys: StateSystem, self_loop: np.ndarray) -> tuple[ComponentInfo, ...]:
-    raw = _tarjan_sccs(sys.succ_ptr.tolist(), sys.succ_tgt.tolist())
+def _decompose(
+    sys: StateSystem, raw: list[list[int]], self_loop: np.ndarray
+) -> tuple[ComponentInfo, ...]:
+    """Classify the components ``raw`` that _tarjan_sccs found, in
+    topological order, and compute the weighted periods of the cyclic
+    ones."""
     raw.reverse()  # topological: sources before the states depending on them
     expected = cyclic_members(sys.m) if sys.m >= 2 else None
     comps: list[ComponentInfo] = []
@@ -538,30 +518,17 @@ def _weighted_period(sys: StateSystem, members_idx: list[int]) -> int:
     return g
 
 
-def weighted_period(sys: StateSystem, comp: ComponentInfo) -> int:
-    """Weighted period of a cyclic component; raises for acyclic ones."""
-    if not comp.cyclic:
-        raise ValueError("weighted period is defined only for cyclic components")
-    assert comp.weighted_period is not None
-    return comp.weighted_period
-
-
 def simple_cycle_weights(sys: StateSystem, comp: ComponentInfo) -> list[int]:
     """Total weights of all simple directed cycles inside the component.
 
     Exponential-time enumeration; used as a cross-check oracle for the
     potential-based weighted period on small components.
     """
-    members = list(comp.members)
-    idx = {s: i for i, s in enumerate(members)}
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in members]
-    for s in members:
-        si = sys.index[s]
-        for t_i in sys.successors(si):
-            t = sys.states[t_i]
-            if t in idx:
-                degree, _ = sys.entries[(t_i, si)]
-                adjacency[idx[s]].append((idx[t], degree))
+    rows, cols, pos = component_edges(sys, [sys.index[s] for s in comp.members])
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in comp.members]
+    # rows come in increasing order, so every source lists its targets increasing
+    for t, s, degree in zip(rows.tolist(), cols.tolist(), sys.pred_deg[pos].tolist()):
+        adjacency[s].append((t, degree))
     weights: list[int] = []
 
     def walk(start: int, v: int, total: int, visited: set[int]) -> None:
@@ -573,7 +540,7 @@ def simple_cycle_weights(sys: StateSystem, comp: ComponentInfo) -> list[int]:
                 walk(start, t, total + w, visited)
                 visited.discard(t)
 
-    for start in range(len(members)):
+    for start in range(len(comp.members)):
         walk(start, start, 0, {start})
     return weights
 
@@ -605,18 +572,13 @@ def component_matrix(sys: StateSystem, comp: ComponentInfo) -> list[list[ExactPo
     Member order is canonical: lexicographic on (p, q) with inf last,
     rows = targets, columns = sources.
     """
-    members = list(comp.members)  # already sorted canonically
-    mat = []
-    for t in members:
-        row = []
-        for s in members:
-            key = (sys.index[t], sys.index[s])
-            if key in sys.entries:
-                degree, coeff = sys.entries[key]
-                row.append(ExactPoly.monomial(degree, coeff))
-            else:
-                row.append(ExactPoly.zero())
-        mat.append(row)
+    size = len(comp.members)  # already sorted canonically
+    rows, cols, pos = component_edges(sys, [sys.index[s] for s in comp.members])
+    mat = [[ExactPoly.zero() for _ in range(size)] for _ in range(size)]
+    for t, s, degree, c in zip(
+        rows.tolist(), cols.tolist(), sys.pred_deg[pos].tolist(), sys.pred_cidx[pos].tolist()
+    ):
+        mat[t][s] = ExactPoly.monomial(degree, sys.coeffs[c])
     return mat
 
 
@@ -650,12 +612,16 @@ def to_dot(sys: StateSystem) -> str:
     for s in sys.states:
         if s not in clustered:
             lines.append(f'  "{_state_name(s)}";')
-    for (t_i, s_i), (degree, coeff) in sorted(sys.entries.items()):
-        t, s = sys.states[t_i], sys.states[s_i]
-        if is_append_edge(sys, t, s):
+    names = [_state_name(s) for s in sys.states]
+    targets = _targets(sys)
+    order = np.lexsort((sys.pred_src, targets))  # by target, then by source
+    for t_i, s_i, degree in zip(
+        targets[order].tolist(), sys.pred_src[order].tolist(), sys.pred_deg[order].tolist()
+    ):
+        if is_append_edge(sys, sys.states[t_i], sys.states[s_i]):
             style = "style=solid,color=blue"
         else:
             style = f'style=dotted,color=red,label="k={degree}"'
-        lines.append(f'  "{_state_name(s)}" -> "{_state_name(t)}" [{style}];')
+        lines.append(f'  "{names[s_i]}" -> "{names[t_i]}" [{style}];')
     lines.append("}")
     return "\n".join(lines)

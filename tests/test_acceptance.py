@@ -29,12 +29,7 @@ from bounded_catalan.polynomial_algebra import (
     real_roots_positive,
     series_coeffs,
 )
-from bounded_catalan.state_system import (
-    build_system,
-    component_matrix,
-    output_accessible,
-    weighted_period,
-)
+from bounded_catalan.state_system import build_system, component_matrix, output_accessible
 
 A2_SEQ = [1, 1, 2, 5, 8, 12, 18, 26, 37, 53, 76, 109]
 A3_SEQ = [1, 1, 2, 5, 14, 28, 55, 108, 214, 412, 787, 1497, 2841, 5364, 10088]
@@ -131,8 +126,8 @@ def test_criterion_5_structure_m_2_to_30():
             for c in sys_m.sccs
             if not c.cyclic
         )
-        ok = ok and weighted_period(sys_m, cyclic["U"]) == 1
-        ok = ok and weighted_period(sys_m, cyclic["V"]) == (2 if m == 2 else 1)
+        ok = ok and cyclic["U"].weighted_period == 1
+        ok = ok and cyclic["V"].weighted_period == (2 if m == 2 else 1)
         ok = ok and all(output_accessible(sys_m, cyclic[t]) for t in ("U", "V", "I"))
         if not ok:
             break

@@ -39,7 +39,7 @@ def max_relative_error(got, want):
 def test_product_matches_stored_entries(m):
     rng = np.random.default_rng(m)
     for tag, members in cyclic_members(m).items():
-        cp = component_product(m, members)
+        cp = component_product(m, tag)
         assert cp.n == len(members)
         v = rng.uniform(0.1, 1.0, cp.n)
         for x in XS:
@@ -70,10 +70,30 @@ def test_product_matches_stored_entries_hypothesis():
                 label="v",
             )
         )
-        got = component_product(m, members).at(x)(v)
+        got = component_product(m, tag).at(x)(v)
         assert max_relative_error(got, reference_product(m, members, x, v)) <= 1e-13
 
     check()
+
+
+# The product has tail terms only for the targets of U, V and I, so it is
+# keyed by tag and takes no set of states, the members of V included.
+@pytest.mark.parametrize(
+    "m, tag",
+    [
+        (5, "W"),
+        (5, "acyclic_singleton"),
+        (5, None),
+        (5, "u"),
+        (1, "U"),
+        (0, "V"),
+        (5, cyclic_members(5)["V"]),
+        (5, [8, 13]),
+    ],
+)
+def test_product_rejects_a_bad_tag_or_m(m, tag):
+    with pytest.raises(ValueError):
+        component_product(m, tag)
 
 
 @pytest.mark.parametrize("m", range(2, 31))

@@ -11,7 +11,8 @@ from bounded_catalan import cli, gf_solver, growth_analysis, state_system
 from bounded_catalan.core_combinatorics import c_kp, c_kp_table, catalan
 from bounded_catalan.gf_solver import generating_function
 from bounded_catalan.growth_analysis import check_numeric_range, growth_constants
-from bounded_catalan.state_system import build_system, thresholds
+from bounded_catalan.polynomial_algebra import ExactPoly
+from bounded_catalan.state_system import build_system, component_matrix, thresholds
 
 # `graph --m M` output for M = 2..6, recorded from the dict-based W
 GRAPH_GOLDENS = json.loads(Path(__file__).with_name("graph_goldens.json").read_text())
@@ -51,8 +52,24 @@ def test_arrays_match_reference_builder(m):
     assert got == list(ref.items())
     assert list(sys_m.entries.items()) == got
     assert len(sys_m.entries) == len(ref)
-    for s in range(len(sys_m.states)):
-        assert sys_m.successors(s) == sorted(t for (t, src) in ref if src == s)
+
+
+@pytest.mark.parametrize("m", range(2, 16))
+def test_component_matrix_matches_reference_builder(m):
+    sys_m = build_system(m)
+    ref = reference_entries(m)
+    for comp in sys_m.sccs:
+        if not comp.cyclic:
+            continue
+        members = [sys_m.index[s] for s in comp.members]
+        want = [
+            [
+                ExactPoly.monomial(*ref[(t, s)]) if (t, s) in ref else ExactPoly.zero()
+                for s in members
+            ]
+            for t in members
+        ]
+        assert component_matrix(sys_m, comp) == want, comp.tag
 
 
 @pytest.mark.parametrize("m", range(1, 41))
@@ -71,9 +88,6 @@ def test_cached_system_is_shared_and_read_only():
         "pred_src",
         "pred_deg",
         "pred_cidx",
-        "succ_ptr",
-        "succ_tgt",
-        "comp_of",
     ):
         arr = getattr(sys_m, name)
         assert not arr.flags.writeable, name

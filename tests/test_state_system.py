@@ -12,7 +12,6 @@ from bounded_catalan.state_system import (
     output_accessible,
     simple_cycle_weights,
     to_dot,
-    weighted_period,
 )
 
 
@@ -109,20 +108,19 @@ def test_m1_untagged_but_built():
 def test_weighted_periods():
     for m in range(2, 9):
         comps = cyclic_by_tag(build_system(m))
-        sys_m = build_system(m)
-        assert weighted_period(sys_m, comps["U"]) == 1
-        assert weighted_period(sys_m, comps["I"]) == 1
+        assert comps["U"].weighted_period == 1
+        assert comps["I"].weighted_period == 1
         if m == 2:
-            assert weighted_period(sys_m, comps["V"]) == 2
+            assert comps["V"].weighted_period == 2
         else:
-            assert weighted_period(sys_m, comps["V"]) == 1
+            assert comps["V"].weighted_period == 1
 
 
-def test_weighted_period_rejects_acyclic():
-    sys2 = build_system(2)
-    acyclic = next(c for c in sys2.sccs if not c.cyclic)
-    with pytest.raises(ValueError):
-        weighted_period(sys2, acyclic)
+def test_weighted_period_is_none_for_acyclic():
+    for m in range(1, 6):
+        acyclic = [c for c in build_system(m).sccs if not c.cyclic]
+        assert acyclic
+        assert all(c.weighted_period is None for c in acyclic)
 
 
 def test_weighted_period_matches_simple_cycle_gcd():
@@ -138,7 +136,7 @@ def test_weighted_period_matches_simple_cycle_gcd():
                 oracle = 0
                 for w in weights:
                     oracle = gcd(oracle, w)
-                assert weighted_period(sys_m, comp) == oracle, (m, comp.tag)
+                assert comp.weighted_period == oracle, (m, comp.tag)
 
 
 def test_output_accessibility():
@@ -148,10 +146,10 @@ def test_output_accessibility():
             if comp.cyclic:
                 assert output_accessible(sys_m, comp)
     sys2 = build_system(2)
-    out_comp = sys2.component_of(sys2.output_state)
+    out_comp = next(c for c in sys2.sccs if sys2.output_state in c.members)
     assert output_accessible(sys2, out_comp)  # empty path
     # the isolated corner state: computed and recorded, no claim asserted
-    corner = sys2.component_of((0, 0))
+    corner = next(c for c in sys2.sccs if (0, 0) in c.members)
     _ = output_accessible(sys2, corner)
 
 
