@@ -17,8 +17,9 @@ before any work is done.  ``table`` computes its m values one after another.
 same way: the brute-force oracle takes about 4 s to n = 14 at m = 30, and
 each further n costs about four times more.
 ``gf``, ``recurrence``, ``growth --pole on`` and ``enumerate`` with series
-counts reject m > MAX_GF_M (21), where the exact solve would take more
-than a minute, with exit code 2 before any counting or solving.
+counts reject m > MAX_GF_M (21), with exit code 2 before any counting or
+solving: a cold ``gf --m 21`` takes about 21 s, and each further m about
+1.5 times more.
 ``graph`` rejects m > MAX_GRAPH_M (300) the same way: at m = 300 a cold
 ``graph`` takes 6.6-7.7 s and 1.13 GB with ``--format plain``, and 36 s
 and 3.55 GB with the default ``--format dot``.  Exact coefficients are
@@ -35,7 +36,12 @@ import sys
 from dataclasses import asdict
 from math import inf
 
-from .core_combinatorics import DEFAULT_ORACLE_CAP, MAX_ORACLE_CAP, brute_force_count
+from .core_combinatorics import (
+    DEFAULT_ORACLE_CAP,
+    MAX_ORACLE_CAP,
+    _tree_levels,
+    brute_force_count,
+)
 from .gf_solver import (
     check_gf_range,
     dp_counts,
@@ -115,11 +121,11 @@ def cmd_enumerate(args) -> int:
         check_gf_range(args.m)
     columns: dict[str, list] = {}
     if "oracle" in methods:
+        # one walk of the generating tree counts every length up to top
         top = min(n_max, args.oracle_cap)
-        columns["oracle"] = [
-            brute_force_count(args.m, n, oracle_cap=args.oracle_cap)
-            for n in range(top + 1)
-        ] + [None] * (n_max - top)
+        count = brute_force_count(args.m, top, oracle_cap=args.oracle_cap)
+        shorter = _tree_levels(args.m, top, inf, inf)[:top]  # the same walk, cached
+        columns["oracle"] = [*shorter, count] + [None] * (n_max - top)
     if "dp" in methods:
         table = dp_counts(args.m, max(n_max, 1), states=[(inf, inf)])
         columns["dp"] = table.unrestricted()[: n_max + 1]

@@ -32,6 +32,7 @@ thresholds are nonnegative integers or ``math.inf`` (vacuous bound).
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, inf
 from typing import Iterator, Sequence
 
@@ -135,9 +136,13 @@ def _check_threshold(t, m: int, name: str) -> None:
         raise ValueError(f"{name} must be in {{0,...,{m - 1}}} or inf, got {t!r}")
 
 
-def _count_tree(m: int, n: int, p, q) -> int:
-    """The leaves at depth n >= 2 of the generating tree of m-bounded
-    132-avoiders whose first and last entries meet p and q.
+@lru_cache(maxsize=None)
+def _tree_levels(m: int, n: int, p, q) -> tuple[int, ...]:
+    """The nodes at each depth 0..n of the generating tree of m-bounded
+    132-avoiders whose first and last entries meet p and q: one walk down
+    to depth n counts every shallower level on the way (depth 0, the
+    empty permutation, counts 1).  Arguments are not checked; see
+    brute_force_count.
 
     A node is the permutation of length L held as: its first and last
     entries, lo = its minimum, ``bad`` = the 132 mask (bit v set when v
@@ -157,12 +162,12 @@ def _count_tree(m: int, n: int, p, q) -> int:
             ok &= ~((low << (m + 1)) - (low << 1))
         if length - first == p:  # the first-entry deficiency may not grow
             ok &= (2 << first) - 1
+        # the children are the nodes at depth length + 1; q bars the
+        # children v < length + 1 - q
+        levels[length + 1] += (ok & (-1 << max(length + 1 - q, 0)) if q != inf else ok).bit_count()
         if length == n - 1:
-            if q != inf:
-                ok &= -1 << max(n - q, 0)
-            return ok.bit_count()
+            return
         cap = min(n - 2 - length, m - 1)  # the slacks t the child keeps
-        total = 0
         while ok:
             bit = ok & -ok
             ok ^= bit
@@ -188,7 +193,7 @@ def _count_tree(m: int, n: int, p, q) -> int:
             t = m - abs(prev - v)  # the new pair (prev, v)
             if t <= cap:
                 child_wide[t] |= 1 << min(prev, v)
-            total += walk(
+            walk(
                 length + 1,
                 first + 1 if first >= v else first,
                 v,
@@ -196,9 +201,11 @@ def _count_tree(m: int, n: int, p, q) -> int:
                 child_bad,
                 child_wide,
             )
-        return total
 
-    return walk(1, 1, 1, 1, 0, [0] * (min(n - 2, m - 1) + 1))
+    levels = [1] * min(n + 1, 2) + [0] * (n - 1)
+    if n >= 2:
+        walk(1, 1, 1, 1, 0, [0] * (min(n - 2, m - 1) + 1))
+    return tuple(levels)
 
 
 def brute_force_count(
@@ -254,9 +261,7 @@ def brute_force_count(
         raise ValueError("endpoint-restricted counts are defined only for n >= 1")
     if n > oracle_cap:
         raise OracleCapError(f"n={n} exceeds the oracle cap {oracle_cap}")
-    if n == 1:  # (1) meets every threshold pair
-        return 1
-    return _count_tree(m, n, p, q)
+    return _tree_levels(m, n, p, q)[n]
 
 
 @lru_cache(maxsize=None)
@@ -304,23 +309,22 @@ def c_kp_table(m: int) -> tuple[tuple[int, ...], ...]:
     """The values c_kp(k, p) for k = 1..m (rows) and p = 0, ..., m-1, inf
     (columns, inf last).
 
-    Each row runs the Catalan-triangle sum of ``c_kp`` as prefix sums over
-    d, so the table costs O(m^2) binomials instead of the O(m^3) that m^2
-    separate ``c_kp`` calls would.  ``c_kp`` stays the oracle it is
-    checked against.
+    The terms e(k, d) = c_kp(k, d) - c_kp(k, d-1) of the Catalan-triangle
+    sum of ``c_kp`` (d = 1..k-1) satisfy e(k, k-1) = 1 and
+    e(k, d) = e(k-1, d-1) + e(k, d+1), with e(k-1, 0) = 0, so row k of e
+    is a suffix sum of row k-1 and row k of the table a prefix sum of
+    row k of e: O(m^2) additions and no binomial.  ``c_kp`` stays the
+    oracle it is checked against.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     rows = [(1,) * (m + 1)]
+    e = [1]  # e(2, 1)
     for k in range(2, m + 1):
-        row = [0]
-        total = 0
-        for p in range(1, k - 1):
-            total += p * comb(2 * k - p - 3, k - 2)
-            quotient, remainder = divmod(total, k - 1)
-            assert remainder == 0, "Catalan-triangle sum must be divisible by k-1"
-            row.append(quotient)
-        rows.append(tuple(row) + (catalan(k - 1),) * (m + 2 - k))
+        if k > 2:
+            e = list(accumulate(reversed([0, *e])))[::-1]
+        c = list(accumulate(e))  # c_kp(k, p) for p = 1..k-1
+        rows.append((0, *c[:-1]) + (c[-1],) * (m + 2 - k))
     return tuple(rows)
 
 

@@ -9,19 +9,21 @@ Catalan prefix sum, and only the tail k > p+1 needs its own c_kp
 product.  Given wanted states it sweeps only their closure under the
 recursion's own source rule; a_n needs (m+1)(m+2)/2 states, and only two
 of their columns (q = m-1 and q = inf) carry a tail, so the products per
-n fall from about m^3/6 to about m^2.  A swept state (p, q) is read back
-only at lags m-p and 1, so it keeps its counts in a delay line of
-max(m-p, 1) + 1 and only the wanted states keep full rows: the sweep for
-a_n at m = 30 holds 5,922 counts in delay lines, against 15,376 in rings
-of m+1 and (m+1)(m+2)/2 * (n+1) in full rows.  It takes its
+n fall from about m^3/6 to about m^2.  A state of a finite column q is
+its column's Catalan prefix sum (the column top) plus its append term,
+so the sweep keeps the tops, not those states: the sweep for a_n at
+m = 30 holds at most 1,456 counts (delay lines for the columns q = m-1
+and q = inf, and the tops), against 5,922 in delay lines for every swept
+state and (m+1)(m+2)/2 * (n+1) in full rows.  It takes its
 coefficients from ``c_kp`` and ``catalan`` alone, and its closure from
 that source rule, never from ``build_system``, ``c_kp_table`` or
 ``dependency_closure``, so it stays independent of the state-system
 route it checks.  ``solve_system`` and ``generating_function`` instead
 solve the polynomial linear system (I - W(x)) F = x * 1 over rational
 functions, component by component in topological order, so only blocks
-of cyclic-component size are ever eliminated.  The two routes are cross-checked against each other (and
-against brute force) in the test suite.
+of cyclic-component size are ever solved, each by one packed solve
+(``_solve_sparse_int``).  The two routes are cross-checked against each
+other (and against brute force) in the test suite.
 
 ``generating_function`` only solves the states from which the output
 state (inf, inf) is reachable; ``solve_system`` solves everything.
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from math import inf
-from operator import getitem, mul
+from operator import add, getitem, mul
 
 from .core_combinatorics import _check_int, _check_threshold, c_kp, catalan
 from .polynomial_algebra import (
@@ -47,9 +49,10 @@ from .polynomial_algebra import (
 )
 from .state_system import State, StateSystem, build_system, dependency_closure
 
-# Largest m for the exact generating function: a cold ``gf --m 21`` takes
-# about 44 s on a 2-core Intel Xeon (Python 3.11), and each further m costs
-# about 1.5 times more; ``gf --m 22`` took 67 and 73 s in two runs.
+# Largest m for the exact generating function: a cold ``gf --m 14`` takes
+# about 0.3 s, ``--m 16`` about 1.1 s and ``--m 21`` about 21 s on a 2-core
+# Intel Xeon (Python 3.11, single runs), and each further m costs about
+# 1.5 times more.
 MAX_GF_M = 21
 
 __all__ = [
@@ -58,6 +61,7 @@ __all__ = [
     "dp_counts",
     "solve_system",
     "generating_function",
+    "denominator_factors",
     "recurrence",
     "recurrence_order_bound",
     "check_gf_range",
@@ -150,18 +154,25 @@ def dp_counts(m: int, n_max: int, states=None) -> CountTable:
     ``catalan`` alone, never from the state system, so this route stays
     an independent check of ``generating_function``.
 
-    A swept state (p, q) is read at two lags only: at lag m-p as the
-    column source (m-k, q-k) with k = m-p, and at lag 1 as the append
-    source (p-1, m-1).  So it keeps its counts in a delay line, a ring of
-    max(m-p, 1) + 1 slots indexed by n mod its size (2 for p = inf), and
-    only the wanted states also keep their full row.  The write slots,
-    and the append term T[(p-1, m-1)](n-1) that every target of a p
-    shares, are computed once per n for each p.  The sweep holds
-    the sum of the ring sizes over ``swept`` plus n_max+1 integers per
-    wanted state: for [(inf, inf)], 5,922 + n_max + 1 at m = 30 and
-    41,542 + n_max + 1 at m = 60, against (m+1) per swept state in rings
-    of m+1 (15,376 and 115,351) and (m+1)(m+2)/2 * (n_max+1) for full
-    rows.
+    A column source (m-k, q-k) of a finite column q has no tail, since
+    q-k < m-k+1, so its count is top_{q-k}(n-k) + B_k(n), where
+    top_j(L) = sum_k catalan(k-1) T[(m-k, j-k)](L-k) is the column top
+    and B_k(n) = T[(m-k-1, m-1)](n-k-1) its append term.  So per n the
+    sweep forms one prefix over k of catalan(k-1) B_k(n), shared by every
+    finite column, and one dot product per finite column q along the
+    diagonal top_{q-k}(n-k), k = 1..q, for its top; it keeps the tops by
+    diagonal until the column m-1 has read them.  Counts are written out
+    only for the swept states of the columns q = m-1 and q = inf, each in
+    a delay line: such a state (p, q) is read at lag m-p (as a column
+    source, or as B_{m-p-1}) and at lag 1 (as the append source
+    (p-1, m-1)), so it keeps a ring of max(m-p, 1) + 1 slots indexed by n
+    mod its size (2 for p = inf).  A wanted state of a finite column is
+    rebuilt as its top plus its append term, or, with a tail (p < q-1),
+    from the same sources.  Only the wanted states keep full rows.  For
+    [(inf, inf)] the sweep holds at most 1,456 counts + n_max + 1 at
+    m = 30 and 5,611 + n_max + 1 at m = 60, against 5,922 and 41,542 in
+    delay lines for every swept state and (m+1)(m+2)/2 * (n_max+1) for
+    full rows.
     """
     for name, value in (("m", m), ("n_max", n_max)):
         _check_int(name, value)
@@ -183,47 +194,88 @@ def dp_counts(m: int, n_max: int, states=None) -> CountTable:
             _check_threshold(q, m, "q")
             wanted.add(thresholds.index(p) * width + thresholds.index(q))
     swept = _source_closure(m, wanted)
-    # the delay line of (p, q): ring[n % size[p_idx]] = T(n), read back at
+    # the explicit states: the closure's columns q = m-1 and q = inf.  The
+    # delay line of (p, q): ring[n % size[p_idx]] = T(n), read back at
     # most max(m-p, 1) lengths; slot 1 holds T(1) = 1
     size = [max(m - p, 1) + 1 for p in range(m)] + [2]
-    rings = {i: [0, 1] + [0] * (size[i // width] - 2) for i in swept}
+    rings = {i: [0, 1] + [0] * (size[i // width] - 2) for i in swept if i % width >= m - 1}
     # every target of p_idx adds T[(p-1, m-1)](n-1), inf - 1 = inf, from the
     # ring shift_rings[p_idx] of size shift_size[p_idx]; p = 0 (and a p_idx
     # with no swept target) reads zeros
     zeros = [0] * width
     shift_rings = [zeros] + [rings.get(_append_source(m, p), zeros) for p in range(1, width)]
     shift_size = [1] + size[: m - 1] + [2]
+    # B_k(n) = T[(m-k-1, m-1)](n-k-1), k = 1..m-1: the append term of the
+    # finite source (m-k, q-k); its ring has k+2 slots.  Either every one
+    # of these states is swept or no column top is read (a swept finite
+    # state of a column q >= 1 sweeps (m-1, q-1), hence (m-2, m-1), hence
+    # every source of the column m-1 and each of their append terms).
+    b_rings = [rings.get((m - k - 1) * width + m - 1, zeros) for k in range(1, m)]
+    # the sources of the column inf: (m-k, inf), read at lag k
+    inf_src = [rings.get((m - k) * width + m, zeros) for k in range(1, m + 1)]
+    # each explicit column: q_idx and its swept targets (ring, p_idx, j, tail),
+    # where the column reads g_k for k = 1..kmax, the target's count is
+    # prefix_j + sum_k tail[k] g_k + its append term, j = min(p+1, kmax),
+    # and tail lists c_kp(k, p) for k = kmax down to p+2
     columns = []
-    for q in range(width):
-        # each swept target: (p_idx, its ring)
-        col = [(p, rings[i]) for p in range(width) if (i := p * width + q) in rings]
+    for q, kmax in ((m - 1, m - 1), (m, m)):
+        col = [
+            (rings[i], p, min(p + 1, kmax), [c_kp(k, p) for k in range(kmax, p + 1, -1)])
+            for p in range(width)
+            if (i := p * width + q) in rings
+        ]
         if col:
-            columns.append(([rings[i] for i in _column_sources(m, q)], col))
+            columns.append((q, col))
+    # the tops of the finite columns by diagonal: tops[d][j] = top_j(d + j)
+    # for the columns j = 0..m-2, where top_j(L) is the Catalan prefix sum
+    # of the column j at length L (1 at L = 1, 0 below); a diagonal is
+    # read until it holds every column
+    tops = {1 - j: [0] * j + [1] for j in range(m - 1)}
     rows = {i: [0, 1] for i in swept if i in wanted}
-    kept = [(rows[i], rings[i], i // width) for i in rows]
+    # each wanted state: (its row, its ring or None, p_idx, q_idx, the
+    # c_kp of its tail or None); a finite-column state without a tail is
+    # its column top plus the append term
+    kept = []
+    for i, row in rows.items():
+        p, q = divmod(i, width)
+        tail = None
+        if q < m - 1 and p < q - 1:
+            tail = [c_kp(k, p) for k in range(1, q + 1)]
+        kept.append((row, rings.get(i), p, q, tail))
     prefix_coeffs = [catalan(k - 1) for k in range(1, m + 1)]
-    tail_coeffs = [[c_kp(k, p) for k in range(p + 2, m + 1)] for p in range(m)]
+    reversed_coeffs = [prefix_coeffs[:q][::-1] for q in range(m)]
     for n in range(2, n_max + 1):
         # slot of T(n) in each p_idx's ring, and the append term
-        # T[(p-1, m-1)](n-1) of each p_idx; the column source k has p = m-k
-        # and a ring of k+1, so T(n-k) sits at slot (n-k) mod (k+1) for
-        # k = 1..min(m, n-1): no read reaches a length <= 0, nor a slot that
-        # this step overwrites
+        # T[(p-1, m-1)](n-1) of each p_idx; a ring of k+1 (k+2) slots holds
+        # lengths n-k..n (n-k-1..n), and reads of lengths <= 0 find zeros
         put = [n % r for r in size]
         shift = list(map(getitem, shift_rings, [(n - 1) % r for r in shift_size]))
-        back = [(n - k) % (k + 1) for k in range(1, min(m + 1, n))]
-        for src, col in columns:
-            g = list(map(getitem, src, back))  # g[k-1] = T[(m-k, q-k)](n-k)
+        b = [ring[(n - k - 1) % (k + 2)] for k, ring in enumerate(b_rings, start=1)]
+        pre = [0, *accumulate(map(mul, prefix_coeffs, b))]
+        tops[n] = []
+        for q in range(m - 1):
+            diagonal = tops[n - q]
+            diagonal.append(sum(map(mul, reversed_coeffs[q], diagonal)) + pre[q])
+        for q, col in columns:
+            if q == m:
+                g = [ring[(n - k) % (k + 1)] for k, ring in enumerate(inf_src, start=1)]
+            else:
+                # the finite source (m-k, m-1-k) is top_{m-1-k}(n-k) + B_k(n)
+                g = list(map(add, reversed(tops.pop(n - m + 1, [])), b))
             prefix = [0, *accumulate(map(mul, prefix_coeffs, g))]
-            split = len(g) - 1
-            top = prefix[-1]
-            for p, ring in col:
-                if p < split:
-                    ring[put[p]] = prefix[p + 1] + sum(map(mul, tail_coeffs[p], g[p + 1 :])) + shift[p]
-                else:
-                    ring[put[p]] = top + shift[p]
-        for row, ring, p in kept:
-            row.append(ring[put[p]])
+            g.reverse()
+            for ring, p, j, tail in col:
+                ring[put[p]] = prefix[j] + sum(map(mul, tail, g)) + shift[p]
+        for row, ring, p, q, tail in kept:
+            if ring is not None:
+                row.append(ring[put[p]])
+            elif tail is None:
+                row.append(tops[n - q][q] + shift[p])
+            else:
+                diagonal = tops[n - q]
+                g = list(map(add, reversed(diagonal[:q]), b))
+                row.append(sum(map(mul, tail, g)) + shift[p])
+        tops.pop(n - m + 1, None)
     values = {names[i]: row for i, row in rows.items()}
     return CountTable(m=m, n_max=n_max, values=values, swept=tuple(names[i] for i in swept))
 
@@ -245,9 +297,10 @@ class Recurrence:
         if len(prefix) < self.valid_from:
             raise ValueError("prefix shorter than valid_from")
         seq = list(prefix)
+        order = len(self.lag_coeffs)
         for _ in range(steps):
-            n = len(seq)
-            seq.append(sum(c * seq[n - j] for j, c in enumerate(self.lag_coeffs, start=1)))
+            # lag_coeffs[j-1] * a_{n-j} for j = 1..order, a_{n-j} = 0 for n < j
+            seq.append(sum(map(mul, self.lag_coeffs, reversed(seq[max(len(seq) - order, 0) :]))))
         return seq[len(prefix):]
 
 
@@ -262,9 +315,12 @@ def _solve_states(sys: StateSystem, wanted: set[State]):
     Returns (solution, dets) where solution maps each solved state to a
     pair (numerator, den_ids): the state generating function equals
     numerator / prod(dets[i] for i in den_ids).  Numerators and the
-    registered component determinants are integer polynomials; no gcd
-    reduction happens here, the factored denominators are exact by
-    construction.
+    registered denominators dets[i] are integer polynomials; no gcd
+    reduction happens here.  Each cyclic block is solved once by
+    _solve_sparse_int, whose certificate proves the ratios nums / den of
+    its solution; only those ratios are used.  Its den is +-det of the
+    block whenever the packed slot held it, which the certificate does
+    not prove.
     """
     closure = dependency_closure(sys, [sys.index[s] for s in wanted])
     ptr, src, deg = sys.pred_ptr.tolist(), sys.pred_src.tolist(), sys.pred_deg.tolist()
@@ -309,7 +365,7 @@ def _solve_states(sys: StateSystem, wanted: set[State]):
         if not comp.cyclic:
             solution[comp.members[0]] = (rhs[0], den_ids)
             continue
-        nums, den_core, _ = _solve_sparse_int(rows, rhs)
+        nums, den_core = _solve_sparse_int(rows, rhs)
         dets[ci] = den_core
         ids = den_ids | {ci}
         for s, num in zip(comp.members, nums):
@@ -350,6 +406,17 @@ def check_gf_range(m: int) -> None:
 
 
 @lru_cache(maxsize=None)
+def _output_solution(sys: StateSystem) -> tuple[list, list, tuple[list, ...]]:
+    """(num, den, factors) with F_{inf,inf} = num / den and den the product
+    of the factors, the determinants of the cyclic components that the
+    output state depends on.  Cached per system, so generating_function
+    and denominator_factors share one solve."""
+    solution, dets = _solve_states(sys, {sys.output_state})
+    num, ids = solution[sys.output_state]
+    return num, _den_product(ids, dets), tuple(dets[i] for i in sorted(ids))
+
+
+@lru_cache(maxsize=None)
 def generating_function(m: int) -> RationalFn:
     """The reduced rational generating function of the unrestricted counts.
 
@@ -358,11 +425,20 @@ def generating_function(m: int) -> RationalFn:
     for m > MAX_GF_M before any work (see check_gf_range).
     """
     check_gf_range(m)
-    sys = build_system(m)
-    solution, dets = _solve_states(sys, {sys.output_state})
-    num, ids = solution[sys.output_state]
-    den = _den_product(ids, dets)
+    num, den, _ = _output_solution(build_system(m))
     return rf_reduce(ExactPoly(_add_i(den, num)), ExactPoly(den))
+
+
+def denominator_factors(m: int) -> tuple[ExactPoly, ...]:
+    """The factors whose product is the unreduced denominator of A(x): one
+    per cyclic component that (inf, inf) depends on, in component order.
+
+    Each is the denominator that its block's certified solve returned
+    (see _solve_states); the reduced denominator of A(x) divides their
+    product.  Shares the solve of generating_function.
+    """
+    check_gf_range(m)
+    return tuple(ExactPoly(f) for f in _output_solution(build_system(m))[2])
 
 
 def recurrence(m: int) -> Recurrence:

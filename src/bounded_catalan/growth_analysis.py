@@ -55,8 +55,8 @@ from functools import lru_cache
 import numpy as np
 
 from .core_combinatorics import catalan
-from .gf_solver import dp_counts, generating_function
-from .polynomial_algebra import real_roots_positive
+from .gf_solver import denominator_factors, dp_counts, generating_function
+from .polynomial_algebra import ExactPoly, real_roots_positive
 from .state_system import component_product
 
 DEFAULT_TOL = 1e-10
@@ -292,6 +292,31 @@ def growth_constants(m: int, tol: float = DEFAULT_TOL) -> GrowthReport:
     )
 
 
+def _pole_roots(den: ExactPoly, factors: tuple[ExactPoly, ...], tol: float) -> list[float]:
+    """The positive real roots <= 2 of the reduced denominator ``den``.
+
+    When den is +-(the product of the factors) / its content, as for every
+    m from 3 to 14, the roots of each factor are isolated on (0, 2] and
+    merged; otherwise (m = 2, where reduction cancels a common factor) the
+    roots of den itself.  Every isolating interval is a dyadic subinterval
+    of (0, 2] that real_roots_positive halves to the first width <= tol,
+    so a root comes out as the same float from either polynomial whenever
+    neither isolation has to go below that width; isolating on a factor
+    costs a fraction of isolating on the whole product (at m = 14 about a
+    tenth).
+    """
+    product = ExactPoly.one()
+    for f in factors:
+        product = product * f
+    content = math.gcd(*product.coeffs)
+    if den.coeffs not in (
+        tuple(c // content for c in product.coeffs),
+        tuple(-c // content for c in product.coeffs),
+    ):
+        return real_roots_positive(den, (0, 2), tol=tol)
+    return sorted({r for f in factors for r in real_roots_positive(f, (0, 2), tol=tol)})
+
+
 def dominant_pole_asymptotics(m: int, tol: float = DEFAULT_TOL) -> DominantPole:
     """Dominant pole of the reduced generating function and its residue.
 
@@ -303,7 +328,7 @@ def dominant_pole_asymptotics(m: int, tol: float = DEFAULT_TOL) -> DominantPole:
     if m < 2:
         raise ValueError("dominant pole analysis needs m >= 2")
     gf = generating_function(m)
-    roots = real_roots_positive(gf.den, (0, 2), tol=min(tol, 1e-9))
+    roots = _pole_roots(gf.den, denominator_factors(m), min(tol, 1e-9))
     if not roots:
         raise RuntimeError("reduced denominator has no positive real root <= 2")
     rho = roots[0]

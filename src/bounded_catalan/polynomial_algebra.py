@@ -6,12 +6,14 @@ has constant term +-1.  Polynomials are dense, indexed by degree, with
 trailing zeros trimmed.  On top of the ring arithmetic this module
 provides the primitive gcd over Z[x], reduction of rational functions,
 power-series coefficient extraction, isolation of positive real roots by
-Descartes' rule of signs, and fraction-free (Bareiss-style) elimination
-for polynomial matrices.
+Descartes' rule of signs, and the exact solve of sparse polynomial
+systems.
 
 Every gcd goes through ``_gcd_i``, which first tries a coprimality
 certificate: the primitive operands are reduced modulo the prime
-P = 2^61 - 1 and their gcd is taken over GF(P).  When P divides neither
+P = 2^31 - 1 and their gcd is taken over GF(P), in numpy int64 for
+operands of ``_PACK_MIN`` terms or more (every product of two residues
+stays below 2^62).  When P divides neither
 leading coefficient, the degree of that image is at least the degree of
 the gcd over Q (Brown 1971; von zur Gathen & Gerhard, *Modern Computer
 Algebra*, ch. 6), so an image of degree 0 proves the operands coprime.
@@ -22,7 +24,7 @@ leading coefficient, does the integer sequence run.
 
 Every path runs on raw integer coefficient lists, and the ring
 operations of ``ExactPoly`` call the same kernels.  All operations are
-pure functions of their inputs.  Three kernels carry them, each exact by
+pure functions of their inputs.  Four kernels carry them, each exact by
 construction:
 
 - ``_mul_i`` multiplies long operands by Kronecker substitution (von zur
@@ -41,6 +43,12 @@ construction:
   is a nonzero multiple of the reversal of the one a Horner composition
   gives, so the counts, the isolation tree and every root bracket are
   the same.
+- ``_solve_sparse_int`` solves a block A y = rhs once at X = 2^k: the
+  block is packed into integers, the integer system is eliminated
+  fraction-free, and the solution's balanced base-2^k digits are
+  returned once a certificate at a second, wider point proves
+  A nums = rhs den in Z[x].  The first slot is sized from the block;
+  a failed certificate widens it.
 
 Operands shorter than ``_PACK_MIN`` terms go through the coefficient
 loops, which are cheaper there.
@@ -53,7 +61,7 @@ from itertools import accumulate
 from math import gcd as int_gcd
 from math import lcm as int_lcm
 from operator import index, mul
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class SingularBlockError(RuntimeError):
@@ -103,6 +111,12 @@ def _bits(a: IntPoly) -> int:
     return max(max(a), -min(a)).bit_length()
 
 
+# The numpy kernels of this module import numpy where they run.  The
+# package loads numpy anyway (state_system), but a module-level import
+# here, ahead of the modules that follow, raised the resident set of the
+# imported CLI by about 0.6 MB, which every forked command carries.
+
+
 def _bias(nb: int, n: int) -> int:
     """2^(8 nb - 1) in each of n slots of nb bytes: the sum of the slot biases."""
     return int.from_bytes((bytes(nb - 1) + b"\x80") * n, "little")
@@ -114,9 +128,20 @@ def _pack(a: IntPoly, nb: int) -> int:
     Each coefficient is written in two's complement; flipping each slot's
     top bit turns that slot into the coefficient biased by 2^(k-1), which
     is nonnegative, and the n biases are subtracted once at the end.
+    Slots of at most 8 bytes are written by numpy, as the low bytes of
+    each coefficient's int64.
     """
     bias = _bias(nb, len(a))
-    raw = b"".join([c.to_bytes(nb, "little", signed=True) for c in a])
+    if nb <= 8:
+        import numpy as np  # see the note above _bias
+
+        arr = np.array(a, dtype="<i8")  # OverflowError beyond int64
+        half = 1 << (8 * nb - 1)
+        if arr.max() >= half or arr.min() < -half:
+            raise OverflowError("coefficient does not fit its slot")
+        raw = arr.view(np.uint8).reshape(-1, 8)[:, :nb].tobytes()
+    else:
+        raw = b"".join([c.to_bytes(nb, "little", signed=True) for c in a])
     return (int.from_bytes(raw, "little") ^ bias) - bias
 
 
@@ -130,6 +155,15 @@ def _unpack(v: int, nb: int, n: int) -> IntPoly:
     """
     half = 1 << (8 * nb - 1)
     raw = (v + _bias(nb, n)).to_bytes(nb * n, "little")
+    if nb <= 8:  # each slot widened to a uint64 by numpy
+        import numpy as np  # see the note above _bias
+
+        lanes = np.zeros((n, 8), dtype=np.uint8)
+        lanes[:, :nb] = np.frombuffer(raw, dtype=np.uint8).reshape(n, nb)
+        u = lanes.view("<u8").ravel()
+        if nb == 8:
+            return (u ^ np.uint64(half)).view("<i8").tolist()
+        return (u.view("<i8") - half).tolist()
     return [int.from_bytes(raw[i : i + nb], "little") - half for i in range(0, nb * n, nb)]
 
 
@@ -262,19 +296,22 @@ def _prem_i(a: IntPoly, b: IntPoly) -> IntPoly:
     return _trim(r)
 
 
-_P = (1 << 61) - 1  # Mersenne prime modulus of the coprimality certificate
+_P = (1 << 31) - 1  # Mersenne prime modulus of the coprimality certificate
 
 
 def _gcd_degree_mod_p(a: IntPoly, b: IntPoly) -> int:
     """Degree of gcd(a mod P, b mod P) over GF(P).
 
     P must divide neither leading coefficient, so the images keep the
-    degrees of a and b.
+    degrees of a and b.  Operands of at least _PACK_MIN terms run in numpy
+    int64: residues are below 2^31, so every product stays below 2^62.
     """
     a = [c % _P for c in a]
     b = [c % _P for c in b]
     if len(a) < len(b):
         a, b = b, a
+    if len(b) >= _PACK_MIN:
+        return _gcd_degree_np(a, b)
     while b:
         db = len(b) - 1
         inv = pow(b[-1], -1, _P)
@@ -286,6 +323,25 @@ def _gcd_degree_mod_p(a: IntPoly, b: IntPoly) -> int:
                 a[off:i] = [(x - q * y) % _P for x, y in zip(a[off:i], body)]
         a, b = b, _trim(a)
     return len(a) - 1
+
+
+def _gcd_degree_np(a: IntPoly, b: IntPoly) -> int:
+    """_gcd_degree_mod_p on residue lists, len(a) >= len(b) > 0, in numpy."""
+    import numpy as np  # see the note above _bias
+
+    a, b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+    while b.size:
+        db = b.size - 1
+        inv = pow(int(b[-1]), -1, _P)
+        body = b[:-1]
+        for i in range(a.size - 1, db - 1, -1):
+            q = int(a[i]) * inv % _P
+            if q:
+                off = i - db
+                a[off:i] = (a[off:i] - q * body) % _P
+        nz = np.flatnonzero(a[:db])
+        a, b = b, a[: nz[-1] + 1 if nz.size else 0]
+    return a.size - 1
 
 
 def _gcd_i(a: IntPoly, b: IntPoly) -> IntPoly:
@@ -654,27 +710,56 @@ def real_roots_positive(
 
 
 # ---------------------------------------------------------------------------
-# Sparse fraction-free elimination for polynomial matrices
+# Exact solve of sparse polynomial systems, packed at one point
 # ---------------------------------------------------------------------------
 
 
-def _solve_sparse_int(
-    rows: list[dict[int, IntPoly]], rhs: list[IntPoly]
-) -> tuple[list[IntPoly], IntPoly, IntPoly]:
-    """Bareiss (fraction-free) elimination of a square integer-polynomial matrix.
+def _value(p: IntPoly, nb: int) -> int:
+    """p(2^k) for k = 8 nb bits, exact whatever the size of the coefficients."""
+    if len(p) < 2:
+        return p[0] if p else 0
+    if len(p) < _PACK_MIN:
+        k = 8 * nb
+        return sum([c << (k * i) for i, c in enumerate(p) if c])
+    try:
+        return _pack(p, nb)
+    except OverflowError:
+        k, acc = 8 * nb, 0
+        for c in reversed(p):
+            acc = (acc << k) + c
+        return acc
 
-    ``rows[i]`` maps column index to a nonzero integer polynomial; the
-    structures are consumed.  Returns ``(nums, den, det)`` such that the
-    solution of A x = rhs is x_i = nums[i] / den with den = +-det(A).
-    Raises SingularBlockError when A is singular.
 
-    Elimination runs in two phases.  While some active diagonal entry is
-    the constant 1 (no self-feedback yet), that row is eliminated by plain
-    substitution, choosing the cheapest pivot by Markowitz count; these
-    steps are division free and preserve sparsity.  The remaining dense
-    core is processed by one-step Bareiss elimination (divisions by the
-    previous pivot are exact), and the solution is recovered by
-    fraction-free back substitution over the core determinant.
+def _digits(v: int, nb: int) -> IntPoly:
+    """The balanced base-2^k digits of v, k = 8 nb, lowest first, trimmed."""
+    return _trim(_unpack(v, nb, abs(v).bit_length() // (8 * nb) + 2))
+
+
+def _first_slot(rows: list[dict[int, IntPoly]], rhs: list[IntPoly]) -> int:
+    """Bits of the first slot of the packed solve: a guess, sized from the
+    block, at the largest coefficient of its solution.
+
+    The solution's denominator is a determinant, whose degree is at most
+    D = the sum over the rows of their largest entry degree, and each
+    numerator also carries the right-hand side.  On the blocks of the
+    generating functions (I - W over the entries c_kp(k, p) x^k) the
+    determinant takes fewer than D / 5 bits (0.15-0.2 D for m = 8..21),
+    so the guess is bits(rhs) + D / 5 + 4.  For m = 2..21 it holds every
+    block's solution at the first try; rounded up to whole bytes, it is
+    1.01-1.39 times the bits the solution needs for m = 8..21 (more below
+    m = 8, where one byte already exceeds the need).  The guess is not a
+    bound: the certificate decides, and a failed one widens the slot.
+    """
+    degree = sum(max(map(len, row.values())) - 1 for row in rows)
+    rbits = max((_bits(r) for r in rhs if r), default=0)
+    return rbits + degree // 5 + 4
+
+
+def _eliminate(rows: list[dict[int, int]], rhs: list[int]):
+    """Solve the integer system rows * y = rhs fraction-free.
+
+    Returns (nums, den) with y_i = nums[i] / den, or None when the matrix
+    is singular.  ``rows`` and ``rhs`` are consumed.
     """
     k = len(rows)
     col_rows: list[set[int]] = [set() for _ in range(k)]
@@ -683,12 +768,10 @@ def _solve_sparse_int(
             col_rows[c].add(i)
     active = set(range(k))
     unit_pivots: list[int] = []
-
-    one = [1]
     while True:
         best = None
         for r in active:
-            if rows[r].get(r) == one:
+            if rows[r].get(r) == 1:
                 cost = (len(col_rows[r]) - 1) * (len(rows[r]) - 1)
                 if best is None or cost < best[0]:
                     best = (cost, r)
@@ -699,89 +782,159 @@ def _solve_sparse_int(
         for i in list(col_rows[r]):
             if i == r or i not in active:
                 continue
-            f = rows[i].pop(r)
+            row_i = rows[i]
+            f = row_i.pop(r)
             col_rows[r].discard(i)
-            for c, poly in pivot_row.items():
+            for c, v in pivot_row.items():
                 if c == r:
                     continue
-                cur = _sub_i(rows[i].get(c, []), _mul_i(f, poly))
+                cur = row_i.get(c, 0) - f * v
                 if cur:
-                    rows[i][c] = cur
+                    row_i[c] = cur
                     col_rows[c].add(i)
                 else:
-                    rows[i].pop(c, None)
+                    row_i.pop(c, None)
                     col_rows[c].discard(i)
-            rhs[i] = _sub_i(rhs[i], _mul_i(f, rhs[r]))
+            rhs[i] -= f * rhs[r]
         active.discard(r)
         unit_pivots.append(r)
 
-    core_rows = sorted(active)
-    core_cols = sorted(active)
-    kk = len(core_rows)
-    M = [[rows[r].get(c, []) for c in core_cols] + [rhs[r]] for r in core_rows]
-
-    sign = 1
-    prev = [1]
-    pivots: list[IntPoly] = []
+    core = sorted(active)
+    kk = len(core)
+    M = [[rows[r].get(c, 0) for c in core] + [rhs[r]] for r in core]
+    prev = 1
+    pivots: list[int] = []
     for t in range(kk):
         cand = [i for i in range(t, kk) if M[i][t]]
         if not cand:
-            raise SingularBlockError("singular block in exact solve")
-        piv_i = min(cand, key=lambda i: (len(M[i][t]), sum(1 for z in M[i] if z)))
+            return None
+        piv_i = min(cand, key=lambda i: (abs(M[i][t]).bit_length(), sum(1 for z in M[i] if z)))
         if piv_i != t:
             M[t], M[piv_i] = M[piv_i], M[t]
-            sign = -sign
-        piv = M[t][t]
+        row_t = M[t]
+        piv = row_t[t]
         for i in range(t + 1, kk):
-            mult = M[i][t]
-            row_i, row_t = M[i], M[t]
+            row_i = M[i]
+            mult = row_i[t]
             if mult:
                 for j in range(t + 1, kk + 1):
-                    row_i[j] = _divexact_i(
-                        _sub_i(_mul_i(piv, row_i[j]), _mul_i(mult, row_t[j])), prev
-                    )
-                row_i[t] = []
+                    q, rem = divmod(piv * row_i[j] - mult * row_t[j], prev)
+                    if rem:
+                        raise ArithmeticError("inexact Bareiss step")
+                    row_i[j] = q
+                row_i[t] = 0
             else:
                 for j in range(t + 1, kk + 1):
                     if row_i[j]:
-                        row_i[j] = _divexact_i(_mul_i(piv, row_i[j]), prev)
+                        q, rem = divmod(piv * row_i[j], prev)
+                        if rem:
+                            raise ArithmeticError("inexact Bareiss step")
+                        row_i[j] = q
         pivots.append(piv)
         prev = piv
 
-    det_core = pivots[-1] if pivots else [1]
-    det = _scale_i(det_core, sign)
-
-    # Back substitution: every unknown comes out as nums[i] / det_core.
-    nums: list[IntPoly | None] = [None] * k
-    core_sol: list[IntPoly] = [[] for _ in range(kk)]
+    den = pivots[-1] if pivots else 1
+    nums = [0] * k
     for t in range(kk - 1, -1, -1):
-        acc = _mul_i(M[t][kk], det_core)
+        acc = M[t][kk] * den
         for j in range(t + 1, kk):
-            if M[t][j] and core_sol[j]:
-                acc = _sub_i(acc, _mul_i(M[t][j], core_sol[j]))
-        core_sol[t] = _divexact_i(acc, pivots[t])
-    for t, c in enumerate(core_cols):
-        nums[c] = core_sol[t]
+            if M[t][j]:
+                acc -= M[t][j] * nums[core[j]]
+        q, rem = divmod(acc, pivots[t])
+        if rem:
+            raise ArithmeticError("inexact back substitution")
+        nums[core[t]] = q
     for r in reversed(unit_pivots):
-        acc = _mul_i(rhs[r], det_core)
-        for c, poly in rows[r].items():
-            if c == r:
-                continue
-            if nums[c]:
-                acc = _sub_i(acc, _mul_i(poly, nums[c]))
+        acc = rhs[r] * den
+        for c, v in rows[r].items():
+            if c != r:
+                acc -= v * nums[c]
         nums[r] = acc
-    return nums, det_core, det
+    return nums, den
 
 
-def poly_mat_det(mat: Sequence[Sequence[ExactPoly]]) -> ExactPoly:
-    """Determinant of a square ExactPoly matrix by fraction-free elimination:
-    the solve of A x = 0, whose singular case is the zero determinant."""
-    k = len(mat)
-    if any(len(row) != k for row in mat):
-        raise ValueError("matrix must be square")
-    rows = [{j: list(e.coeffs) for j, e in enumerate(row) if not e.is_zero()} for row in mat]
-    try:
-        _, _, det = _solve_sparse_int(rows, [[] for _ in range(k)])
-    except SingularBlockError:
-        return ExactPoly.zero()
-    return ExactPoly(det)
+def _certified(
+    rows: list[dict[int, IntPoly]], rhs: list[IntPoly], nums: list[IntPoly], den: IntPoly
+) -> bool:
+    """Whether A nums = rhs den holds in Z[x], decided at one point 2^k.
+
+    A coefficient of a product a b is at most ||a||_1 max|b|, so with B
+    the largest sum over the rows of the two sides' bounds, the
+    difference of the two sides has coefficients of magnitude <= B.  A
+    nonzero integer polynomial has no root beyond 1 + B (Cauchy), so
+    equality at 2^k > 1 + B is equality of the polynomials.  The entries
+    of A are sparse, so each term of a row is a shifted small multiple.
+    """
+    top = [max(max(p), -min(p)) if p else 0 for p in nums]
+    den_top = max(max(den), -min(den))
+    den_l1 = sum(map(abs, den))
+    bound = 0
+    for row, r in zip(rows, rhs):
+        b = sum(sum(map(abs, p)) * top[c] for c, p in row.items())
+        if r:
+            b += min(sum(map(abs, r)) * den_top, max(max(r), -min(r)) * den_l1)
+        bound = max(bound, b)
+    nb = (bound.bit_length() + 10) // 8
+    k = 8 * nb
+    vals = [_value(p, nb) for p in nums]
+    dv = _value(den, nb)
+    for row, r in zip(rows, rhs):
+        acc = 0
+        for c, p in row.items():
+            v = vals[c]
+            for d, coef in enumerate(p):
+                if coef:
+                    acc += (coef * v) << (k * d)
+        if acc != _value(r, nb) * dv:
+            return False
+    return True
+
+
+def _solve_sparse_int(
+    rows: list[dict[int, IntPoly]], rhs: list[IntPoly]
+) -> tuple[list[IntPoly], IntPoly]:
+    """Solve a square integer-polynomial system A y = rhs by one packed solve.
+
+    ``rows[i]`` maps column index to a nonzero integer polynomial; neither
+    ``rows`` nor ``rhs`` is changed.  Returns ``(nums, den)``, den
+    nonzero, such that A nums = rhs den in Z[x], so the solution is
+    y_i = nums[i] / den.  Raises SingularBlockError when A is singular.
+
+    The block and its right-hand sides are evaluated once at X = 2^k
+    (Kronecker substitution; von zur Gathen & Gerhard, *Modern Computer
+    Algebra*, section 8.4), and the integer system is solved exactly by
+    _eliminate: Markowitz unit-pivot substitution, one-step Bareiss on
+    the dense core and back substitution.  Evaluation at X is a ring map,
+    so when every coefficient of the polynomial solution fits a balanced
+    k-bit digit, the balanced base-2^k digits of the integers are that
+    solution.  Fitting is not assumed: the digits are returned only when
+    _certified proves A nums = rhs den, which proves the ratios
+    nums[i] / den.  It does not prove den = +-det A (that holds whenever
+    the slot held den).  A failed certificate doubles k.
+
+    The first k comes from _first_slot.  A singular A(X) proves A
+    singular only when X lies beyond the Cauchy root bound 1 + B of every
+    nonzero det A, B = the product of the rows' coefficient 1-norms;
+    closer in, X may be a root of det A, and k doubles.
+    """
+    nb = -(-_first_slot(rows, rhs) // 8)
+    det_bits = None
+    while True:
+        solved = _eliminate(
+            [{c: _value(p, nb) for c, p in row.items()} for row in rows],
+            [_value(r, nb) for r in rhs],
+        )
+        if solved is None:
+            if det_bits is None:
+                bound = 1
+                for row in rows:
+                    bound *= sum(sum(map(abs, p)) for p in row.values())
+                det_bits = bound.bit_length()
+            if 8 * nb > det_bits:
+                raise SingularBlockError("singular block in exact solve")
+        else:
+            nums = [_digits(v, nb) for v in solved[0]]
+            den = _digits(solved[1], nb)
+            if _certified(rows, rhs, nums, den):
+                return nums, den
+        nb *= 2

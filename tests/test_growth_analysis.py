@@ -15,8 +15,9 @@ from bounded_catalan.growth_analysis import (
     nth_root_estimate,
     spectral_radius_at,
 )
-from bounded_catalan.polynomial_algebra import ExactPoly, poly_mat_det, real_roots_positive
+from bounded_catalan.polynomial_algebra import ExactPoly, real_roots_positive
 from bounded_catalan.state_system import MAX_GRAPH_M, build_system, component_matrix
+from reference import poly_mat_det
 
 
 def test_spectral_radius_trivia():

@@ -9,11 +9,11 @@ from bounded_catalan.polynomial_algebra import (
     ExactPoly,
     RationalFn,
     poly_gcd,
-    poly_mat_det,
     real_roots_positive,
     rf_reduce,
     series_coeffs,
 )
+from reference import poly_mat_det, solve_sparse_list
 
 
 def naive_mul(a, b):
@@ -235,8 +235,9 @@ def test_sparse_solver_against_fraction_oracle():
     """Random feedback systems (I - W) x = b checked by exact substitution.
 
     W gets random monomial entries with zero constant term, so I - W is
-    always nonsingular; the fraction-free solver's output must satisfy
-    every equation exactly: sum_j A[i][j] * x_j == b_i * den.
+    always nonsingular; the packed solver's output must satisfy every
+    equation exactly, sum_j A[i][j] * x_j == b_i * den, and give the
+    ratios of the list-based reference elimination.
     """
     from bounded_catalan.polynomial_algebra import _solve_sparse_int
 
@@ -270,10 +271,14 @@ def test_sparse_solver_against_fraction_oracle():
         ]
         rhs = [r if any(r) else [1] for r in rhs]
         rhs_copy = [list(r) for r in rhs]
-        nums, den, det = _solve_sparse_int(rows, rhs_copy)
+        nums, den = _solve_sparse_int(rows, rhs_copy)
         assert den, trial
         den_poly = ExactPoly(den)
+        ref_rows = [{c: list(p) for c, p in row.items()} for row in matrix]
+        ref_nums, ref_den, det = solve_sparse_list(ref_rows, [list(r) for r in rhs])
         assert ExactPoly(det).coeffs[0] == 1  # constant term of det(I - W)
+        for num, ref_num in zip(nums, ref_nums):
+            assert ExactPoly(num) * ExactPoly(ref_den) == ExactPoly(ref_num) * den_poly
         for i in range(k):
             lhs = ExactPoly.zero()
             for c, poly in matrix[i].items():

@@ -72,7 +72,7 @@ def test_component_matrix_matches_reference_builder(m):
         assert component_matrix(sys_m, comp) == want, comp.tag
 
 
-@pytest.mark.parametrize("m", range(1, 41))
+@pytest.mark.parametrize("m", range(1, 101))
 def test_c_kp_table_matches_oracle(m):
     table = c_kp_table(m)
     assert len(table) == m

@@ -4,7 +4,7 @@ from math import gcd, inf
 
 import pytest
 
-from bounded_catalan.polynomial_algebra import ExactPoly, poly_mat_det
+from bounded_catalan.polynomial_algebra import ExactPoly
 from bounded_catalan.state_system import (
     StructureError,
     build_system,
@@ -13,6 +13,7 @@ from bounded_catalan.state_system import (
     simple_cycle_weights,
     to_dot,
 )
+from reference import poly_mat_det
 
 
 def identity_minus(mat):
