@@ -36,12 +36,7 @@ import sys
 from dataclasses import asdict
 from math import inf
 
-from .core_combinatorics import (
-    DEFAULT_ORACLE_CAP,
-    MAX_ORACLE_CAP,
-    _tree_levels,
-    brute_force_count,
-)
+from .core_combinatorics import DEFAULT_ORACLE_CAP, MAX_ORACLE_CAP, brute_force_count
 from .gf_solver import (
     check_gf_range,
     dp_counts,
@@ -123,9 +118,8 @@ def cmd_enumerate(args) -> int:
     if "oracle" in methods:
         # one walk of the generating tree counts every length up to top
         top = min(n_max, args.oracle_cap)
-        count = brute_force_count(args.m, top, oracle_cap=args.oracle_cap)
-        shorter = _tree_levels(args.m, top, inf, inf)[:top]  # the same walk, cached
-        columns["oracle"] = [*shorter, count] + [None] * (n_max - top)
+        counts = brute_force_count(args.m, top, oracle_cap=args.oracle_cap, levels=True)
+        columns["oracle"] = list(counts) + [None] * (n_max - top)
     if "dp" in methods:
         table = dp_counts(args.m, max(n_max, 1), states=[(inf, inf)])
         columns["dp"] = table.unrestricted()[: n_max + 1]

@@ -136,7 +136,6 @@ def _check_threshold(t, m: int, name: str) -> None:
         raise ValueError(f"{name} must be in {{0,...,{m - 1}}} or inf, got {t!r}")
 
 
-@lru_cache(maxsize=None)
 def _tree_levels(m: int, n: int, p, q) -> tuple[int, ...]:
     """The nodes at each depth 0..n of the generating tree of m-bounded
     132-avoiders whose first and last entries meet p and q: one walk down
@@ -214,9 +213,14 @@ def brute_force_count(
     p=inf,
     q=inf,
     oracle_cap: int = DEFAULT_ORACLE_CAP,
-) -> int:
+    *,
+    levels: bool = False,
+):
     """Exhaustively count length-n 132-avoiding m-bounded permutations with
     endpoint deficiencies n - first <= p and n - last <= q.
+
+    With ``levels=True`` the same walk returns the tuple of counts for
+    every length 0..n instead, entry 0 being the empty permutation's 1.
 
     ``inf`` makes a bound vacuous.  n = 0 is only defined for the fully
     unrestricted count (both thresholds inf), where the empty permutation
@@ -257,11 +261,12 @@ def brute_force_count(
         raise ValueError("n must be >= 0")
     if n == 0:
         if p == inf and q == inf:
-            return 1
+            return (1,) if levels else 1
         raise ValueError("endpoint-restricted counts are defined only for n >= 1")
     if n > oracle_cap:
         raise OracleCapError(f"n={n} exceeds the oracle cap {oracle_cap}")
-    return _tree_levels(m, n, p, q)[n]
+    counts = _tree_levels(m, n, p, q)
+    return counts if levels else counts[n]
 
 
 @lru_cache(maxsize=None)

@@ -61,7 +61,6 @@ __all__ = [
     "dp_counts",
     "solve_system",
     "generating_function",
-    "denominator_factors",
     "recurrence",
     "recurrence_order_bound",
     "check_gf_range",
@@ -406,11 +405,12 @@ def check_gf_range(m: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _output_solution(sys: StateSystem) -> tuple[list, list, tuple[list, ...]]:
+def _output_solution(m: int) -> tuple[list, list, tuple[list, ...]]:
     """(num, den, factors) with F_{inf,inf} = num / den and den the product
     of the factors, the determinants of the cyclic components that the
-    output state depends on.  Cached per system, so generating_function
-    and denominator_factors share one solve."""
+    output state depends on.  Cached per m, so generating_function and
+    denominator_factors share one solve."""
+    sys = build_system(m)
     solution, dets = _solve_states(sys, {sys.output_state})
     num, ids = solution[sys.output_state]
     return num, _den_product(ids, dets), tuple(dets[i] for i in sorted(ids))
@@ -425,7 +425,7 @@ def generating_function(m: int) -> RationalFn:
     for m > MAX_GF_M before any work (see check_gf_range).
     """
     check_gf_range(m)
-    num, den, _ = _output_solution(build_system(m))
+    num, den, _ = _output_solution(m)
     return rf_reduce(ExactPoly(_add_i(den, num)), ExactPoly(den))
 
 
@@ -438,7 +438,7 @@ def denominator_factors(m: int) -> tuple[ExactPoly, ...]:
     product.  Shares the solve of generating_function.
     """
     check_gf_range(m)
-    return tuple(ExactPoly(f) for f in _output_solution(build_system(m))[2])
+    return tuple(ExactPoly(f) for f in _output_solution(m)[2])
 
 
 def recurrence(m: int) -> Recurrence:

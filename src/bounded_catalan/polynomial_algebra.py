@@ -111,12 +111,6 @@ def _bits(a: IntPoly) -> int:
     return max(max(a), -min(a)).bit_length()
 
 
-# The numpy kernels of this module import numpy where they run.  The
-# package loads numpy anyway (state_system), but a module-level import
-# here, ahead of the modules that follow, raised the resident set of the
-# imported CLI by about 0.6 MB, which every forked command carries.
-
-
 def _bias(nb: int, n: int) -> int:
     """2^(8 nb - 1) in each of n slots of nb bytes: the sum of the slot biases."""
     return int.from_bytes((bytes(nb - 1) + b"\x80") * n, "little")
@@ -128,20 +122,9 @@ def _pack(a: IntPoly, nb: int) -> int:
     Each coefficient is written in two's complement; flipping each slot's
     top bit turns that slot into the coefficient biased by 2^(k-1), which
     is nonnegative, and the n biases are subtracted once at the end.
-    Slots of at most 8 bytes are written by numpy, as the low bytes of
-    each coefficient's int64.
     """
     bias = _bias(nb, len(a))
-    if nb <= 8:
-        import numpy as np  # see the note above _bias
-
-        arr = np.array(a, dtype="<i8")  # OverflowError beyond int64
-        half = 1 << (8 * nb - 1)
-        if arr.max() >= half or arr.min() < -half:
-            raise OverflowError("coefficient does not fit its slot")
-        raw = arr.view(np.uint8).reshape(-1, 8)[:, :nb].tobytes()
-    else:
-        raw = b"".join([c.to_bytes(nb, "little", signed=True) for c in a])
+    raw = b"".join([c.to_bytes(nb, "little", signed=True) for c in a])
     return (int.from_bytes(raw, "little") ^ bias) - bias
 
 
@@ -155,15 +138,6 @@ def _unpack(v: int, nb: int, n: int) -> IntPoly:
     """
     half = 1 << (8 * nb - 1)
     raw = (v + _bias(nb, n)).to_bytes(nb * n, "little")
-    if nb <= 8:  # each slot widened to a uint64 by numpy
-        import numpy as np  # see the note above _bias
-
-        lanes = np.zeros((n, 8), dtype=np.uint8)
-        lanes[:, :nb] = np.frombuffer(raw, dtype=np.uint8).reshape(n, nb)
-        u = lanes.view("<u8").ravel()
-        if nb == 8:
-            return (u ^ np.uint64(half)).view("<i8").tolist()
-        return (u.view("<i8") - half).tolist()
     return [int.from_bytes(raw[i : i + nb], "little") - half for i in range(0, nb * n, nb)]
 
 
@@ -327,7 +301,11 @@ def _gcd_degree_mod_p(a: IntPoly, b: IntPoly) -> int:
 
 def _gcd_degree_np(a: IntPoly, b: IntPoly) -> int:
     """_gcd_degree_mod_p on residue lists, len(a) >= len(b) > 0, in numpy."""
-    import numpy as np  # see the note above _bias
+    # numpy is imported here, not at module level: the package loads it
+    # anyway (state_system), but a module-level import here, ahead of the
+    # modules that follow, raised the resident set of the imported CLI by
+    # about 0.6 MB, which every forked command carries.
+    import numpy as np
 
     a, b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
     while b.size:
@@ -716,18 +694,8 @@ def real_roots_positive(
 
 def _value(p: IntPoly, nb: int) -> int:
     """p(2^k) for k = 8 nb bits, exact whatever the size of the coefficients."""
-    if len(p) < 2:
-        return p[0] if p else 0
-    if len(p) < _PACK_MIN:
-        k = 8 * nb
-        return sum([c << (k * i) for i, c in enumerate(p) if c])
-    try:
-        return _pack(p, nb)
-    except OverflowError:
-        k, acc = 8 * nb, 0
-        for c in reversed(p):
-            acc = (acc << k) + c
-        return acc
+    k = 8 * nb
+    return sum([c << (k * i) for i, c in enumerate(p) if c])
 
 
 def _digits(v: int, nb: int) -> IntPoly:
@@ -750,7 +718,7 @@ def _first_slot(rows: list[dict[int, IntPoly]], rhs: list[IntPoly]) -> int:
     m = 8, where one byte already exceeds the need).  The guess is not a
     bound: the certificate decides, and a failed one widens the slot.
     """
-    degree = sum(max(map(len, row.values())) - 1 for row in rows)
+    degree = sum(max(map(len, row.values()), default=1) - 1 for row in rows)
     rbits = max((_bits(r) for r in rhs if r), default=0)
     return rbits + degree // 5 + 4
 

@@ -9,6 +9,7 @@ nums * den_ref == nums_ref * den, since only the ratios are proved.
 """
 
 import importlib
+import json
 import os
 import sys
 import tracemalloc
@@ -18,6 +19,7 @@ import pytest
 
 import bounded_catalan.polynomial_algebra as pa
 from bounded_catalan import cli, core_combinatorics, gf_solver
+from bounded_catalan.core_combinatorics import brute_force_count
 from bounded_catalan.growth_analysis import _pole_roots
 from bounded_catalan.polynomial_algebra import (
     ExactPoly,
@@ -64,7 +66,7 @@ def generating_function_blocks(m, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(gf_solver, "_solve_sparse_int", record)
-        gf_solver._output_solution.__wrapped__(gf_solver.build_system(m))
+        gf_solver._output_solution.__wrapped__(m)
     return blocks
 
 
@@ -150,6 +152,8 @@ def test_singular_blocks_raise():
     x = [0, 1]
     with pytest.raises(SingularBlockError):
         _solve_sparse_int([{0: x, 1: x}, {0: x, 1: x}], [[1], [1]])
+    with pytest.raises(SingularBlockError):  # an all-zero row
+        _solve_sparse_int([{0: [1, 1], 1: x}, {}], [[1], [1]])
     # rank 2 of 3: the third row is the sum of the first two
     rows = [
         {0: [1], 1: [0, 2], 2: [3]},
@@ -202,20 +206,25 @@ def test_dp_sweep_memory_within_the_delay_lines():
 
 
 def test_enumerate_oracle_walks_the_tree_once(capsys, monkeypatch):
-    calls = []
-    count = cli.brute_force_count
+    calls, walks = [], []
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return count(*args, **kwargs)
+    def counting(record, f):
+        def counted(*args, **kwargs):
+            record.append(args)
+            return f(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "brute_force_count", counting)
-    core_combinatorics._tree_levels.cache_clear()
+        return counted
+
+    monkeypatch.setattr(cli, "brute_force_count", counting(calls, cli.brute_force_count))
+    monkeypatch.setattr(
+        core_combinatorics, "_tree_levels", counting(walks, core_combinatorics._tree_levels)
+    )
     argv = ["enumerate", "--m", "3", "--n", "11", "--method", "oracle", "--format", "json"]
     assert cli.main(argv) == 0
-    capsys.readouterr()
+    counts = json.loads(capsys.readouterr().out)["sequences"]["oracle"]
     assert len(calls) == 1
-    assert core_combinatorics._tree_levels.cache_info().misses == 1
+    assert len(walks) == 1
+    assert counts == [brute_force_count(3, n) for n in range(12)]
 
 
 def test_tracer_targets_resolve():
@@ -229,3 +238,11 @@ def test_tracer_targets_resolve():
     for module, attr, _ in [*tracer.TARGETS, *tracer.LEAF_TARGETS]:
         mod = importlib.import_module(f"bounded_catalan.{module}")
         assert callable(getattr(mod, attr, None)), (module, attr)
+
+
+def test_denominator_factors_shares_the_solve():
+    """The solve is cached by m, so a rebuilt system does not solve again."""
+    gf_solver.generating_function(6)
+    gf_solver.build_system.cache_clear()
+    gf_solver.denominator_factors(6)
+    assert gf_solver.build_system.cache_info().misses == 0

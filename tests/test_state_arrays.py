@@ -103,6 +103,7 @@ def test_growth_with_pole_builds_the_system_once(capsys):
     build_system.cache_clear()
     growth_constants.cache_clear()
     generating_function.cache_clear()
+    gf_solver._output_solution.cache_clear()
     assert cli.main(["growth", "--m", "5", "--pole", "on", "--format", "json"]) == 0
     capsys.readouterr()
     assert build_system.cache_info().misses == 1
