@@ -154,13 +154,19 @@ def definition_avoiders(n):
 
 @pytest.mark.parametrize("m", range(1, 7))
 def test_brute_force_matches_the_definition(m):
-    """The generating-tree walk against the definition, every threshold pair."""
+    """The generating-tree walk against the definition, every threshold pair;
+    with ``levels=True`` one walk to n = 8 gives every shorter count too."""
+    levels = {(p, q): [1] for p in thresholds(m) for q in thresholds(m)}
     for n in range(1, 9):
         perms = [s for s in definition_avoiders(n) if is_m_bounded(s, m)]
         for p in thresholds(m):
             for q in thresholds(m):
                 assert brute_force_count(m, n, p, q) == endpoint_count(perms, n, p, q), (n, p, q)
+                levels[p, q].append(endpoint_count(perms, n, p, q))
+    for (p, q), counts in levels.items():
+        assert brute_force_count(m, 8, p, q, levels=True) == tuple(counts), (p, q)
     assert brute_force_count(m, 0) == 1
+    assert brute_force_count(m, 0, levels=True) == (1,)
 
 
 @pytest.mark.parametrize("m", range(1, 8))
