@@ -151,18 +151,22 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
+def _recurrence_payload(m: int) -> dict:
+    rec = recurrence(m)
+    return {
+        "order": rec.order,
+        "coeffs": [str(c) for c in rec.lag_coeffs],
+        "valid_from": rec.valid_from,
+    }
+
+
 def _gf_payload(m: int) -> dict:
     gf = generating_function(m)
-    rec = recurrence(m)
     return {
         "m": m,
         "num": _poly_strings(gf.num),
         "den": _poly_strings(gf.den),
-        "recurrence": {
-            "order": rec.order,
-            "coeffs": [str(c) for c in rec.lag_coeffs],
-            "valid_from": rec.valid_from,
-        },
+        "recurrence": _recurrence_payload(m),
         "bound_d_m": recurrence_order_bound(m),
     }
 
@@ -176,18 +180,12 @@ def cmd_gf(args) -> int:
 
 
 def cmd_recurrence(args) -> int:
-    rec = recurrence(args.m)
     if args.format == "json":
-        _emit_json(
-            {
-                "m": args.m,
-                "order": rec.order,
-                "coeffs": [str(c) for c in rec.lag_coeffs],
-                "valid_from": rec.valid_from,
-                "bound_d_m": recurrence_order_bound(args.m),
-            }
-        )
+        payload = _recurrence_payload(args.m)
+        payload.update(m=args.m, bound_d_m=recurrence_order_bound(args.m))
+        _emit_json(payload)
     else:
+        rec = recurrence(args.m)
         terms = []
         for j, c in enumerate(rec.lag_coeffs, start=1):
             if c == 0:

@@ -11,9 +11,8 @@ systems.
 
 Every gcd goes through ``_gcd_i``, which first tries a coprimality
 certificate: the primitive operands are reduced modulo the prime
-P = 2^31 - 1 and their gcd is taken over GF(P), in numpy int64 for
-operands of ``_PACK_MIN`` terms or more (every product of two residues
-stays below 2^62).  When P divides neither
+P = 2^31 - 1 and their gcd is taken over GF(P) in numpy int64 (every
+product of two residues stays below 2^62).  When P divides neither
 leading coefficient, the degree of that image is at least the degree of
 the gcd over Q (Brown 1971; von zur Gathen & Gerhard, *Modern Computer
 Algebra*, ch. 6), so an image of degree 0 proves the operands coprime.
@@ -24,7 +23,7 @@ leading coefficient, does the integer sequence run.
 
 Every path runs on raw integer coefficient lists, and the ring
 operations of ``ExactPoly`` call the same kernels.  All operations are
-pure functions of their inputs.  Four kernels carry them, each exact by
+pure functions of their inputs.  Three kernels carry them, each exact by
 construction:
 
 - ``_mul_i`` multiplies long operands by Kronecker substitution (von zur
@@ -33,11 +32,6 @@ construction:
   multiplied once, and the product is unpacked.  The slot is wide enough
   for every product coefficient, and balanced base-2^k digits are unique,
   so the unpacked digits are the coefficients.
-- ``_divexact_i`` divides long operands the same way, with one integer
-  ``divmod``.  A nonzero remainder proves the division inexact; otherwise
-  the quotient's digits are accepted only when their size proves that
-  quotient times divisor fits the slots, which makes the product equal to
-  the dividend digit by digit.  Otherwise the slot is doubled.
 - ``_descartes`` counts sign variations after two Taylor shifts, each a
   run of prefix sums (Collins & Akritas 1976).  The polynomial it builds
   is a nonzero multiple of the reversal of the one a Horner composition
@@ -50,8 +44,9 @@ construction:
   A nums = rhs den in Z[x].  The first slot is sized from the block;
   a failed certificate widens it.
 
-Operands shorter than ``_PACK_MIN`` terms go through the coefficient
-loops, which are cheaper there.
+Products whose shorter factor has fewer than ``_PACK_MIN`` terms go
+through the schoolbook loop, which is cheaper there.  Exact division
+(``_divexact_i``) is long division on the coefficient lists.
 """
 
 from __future__ import annotations
@@ -99,10 +94,9 @@ def _sub_i(a: IntPoly, b: IntPoly) -> IntPoly:
     return _trim(out)
 
 
-# Products whose shorter factor, and quotients whose quotient and divisor,
-# have at least this many terms go through packed integers; below it the
-# list loops are cheaper (packing every operand made the generating
-# functions for m = 2..10 about 30-40% slower).
+# Products whose shorter factor has at least this many terms go through
+# packed integers; below it the schoolbook loop is cheaper (packing every
+# operand made the generating functions for m = 2..10 about 30-40% slower).
 _PACK_MIN = 12
 
 
@@ -116,18 +110,6 @@ def _bias(nb: int, n: int) -> int:
     return int.from_bytes((bytes(nb - 1) + b"\x80") * n, "little")
 
 
-def _pack(a: IntPoly, nb: int) -> int:
-    """a(2^k) for slots of k = 8 nb bits; needs |a_i| < 2^(k-1).
-
-    Each coefficient is written in two's complement; flipping each slot's
-    top bit turns that slot into the coefficient biased by 2^(k-1), which
-    is nonnegative, and the n biases are subtracted once at the end.
-    """
-    bias = _bias(nb, len(a))
-    raw = b"".join([c.to_bytes(nb, "little", signed=True) for c in a])
-    return (int.from_bytes(raw, "little") ^ bias) - bias
-
-
 def _unpack(v: int, nb: int, n: int) -> IntPoly:
     """The n balanced base-2^k digits of v (each in [-2^(k-1), 2^(k-1))),
     lowest first, for k = 8 nb.
@@ -139,6 +121,12 @@ def _unpack(v: int, nb: int, n: int) -> IntPoly:
     half = 1 << (8 * nb - 1)
     raw = (v + _bias(nb, n)).to_bytes(nb * n, "little")
     return [int.from_bytes(raw[i : i + nb], "little") - half for i in range(0, nb * n, nb)]
+
+
+def _value(p: IntPoly, nb: int) -> int:
+    """p(2^k) for k = 8 nb bits, exact whatever the size of the coefficients."""
+    k = 8 * nb
+    return sum([c << (k * i) for i, c in enumerate(p) if c])
 
 
 def _mul_list(a: IntPoly, b: IntPoly) -> IntPoly:
@@ -167,7 +155,7 @@ def _mul_i(a: IntPoly, b: IntPoly) -> IntPoly:
     if len(a) < _PACK_MIN:
         return _mul_list(a, b)
     nb = (_bits(a) + _bits(b) + len(a).bit_length() + 9) // 8
-    return _trim(_unpack(_pack(a, nb) * _pack(b, nb), nb, len(a) + len(b) - 1))
+    return _trim(_unpack(_value(a, nb) * _value(b, nb), nb, len(a) + len(b) - 1))
 
 
 def _scale_i(a: IntPoly, k: int) -> IntPoly:
@@ -176,9 +164,12 @@ def _scale_i(a: IntPoly, k: int) -> IntPoly:
     return [c * k for c in a]
 
 
-def _divexact_list(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Quotient a / b by long division; raises when it is not exact."""
-    r = a[:]
+def _divexact_i(a: IntPoly, b: IntPoly) -> IntPoly:
+    """Quotient a / b by long division when it is exact in Z[x]; raises
+    ArithmeticError otherwise."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    r = list(a)
     lb = b[-1]
     q = [0] * (len(a) - len(b) + 1)
     for i in range(len(q) - 1, -1, -1):
@@ -194,48 +185,6 @@ def _divexact_list(a: IntPoly, b: IntPoly) -> IntPoly:
     if any(r):
         raise ArithmeticError("inexact polynomial division")
     return _trim(q)
-
-
-def _divexact_i(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Quotient a / b when the division is exact in Z[x]; raises otherwise.
-
-    Long operands are divided as packed integers, a(2^k) = Q b(2^k) + R.
-    If b divides a, then Q = q(2^k) and R = 0, so R != 0 proves the
-    division inexact.  Otherwise Q is unpacked to balanced digits q and
-    accepted when bits q + bits b + bitlen n + 2 <= k, with n the shorter
-    of q and b: then q b has balanced digits in every slot, evaluates to
-    Q b(2^k) = a(2^k), and so equals a by uniqueness of the digits.  A
-    failed check doubles k.  The first k is sized from a (and b) plus a
-    byte, because a Bareiss quotient has about bits a - bits b bits; an
-    up-front bound on the quotient would make every slot far wider.  Past
-    the size at which any exact quotient would have fit (Mignotte's bound,
-    2^(len q - 1) ||a||_2), the list loop decides.
-    """
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    if not a:
-        return []
-    nq = len(a) - len(b) + 1
-    n = min(nq, len(b))
-    if n < _PACK_MIN:
-        return _divexact_list(a, b)
-    bits_a, bits_b = _bits(a), _bits(b)
-    slack = n.bit_length() + 2
-    cap = bits_a + len(a).bit_length() + nq + bits_b + slack
-    nb = (max(bits_a, bits_b + 1) + slack + 15) // 8
-    while True:
-        big_q, rem = divmod(_pack(a, nb), _pack(b, nb))
-        if rem:
-            raise ArithmeticError("inexact polynomial division")
-        try:
-            q = _unpack(big_q, nb, nq)
-        except OverflowError:
-            q = None
-        if q is not None and _bits(q) + bits_b + slack <= 8 * nb:
-            return _trim(q)
-        if 8 * nb >= cap:
-            return _divexact_list(a, b)
-        nb *= 2
 
 
 def _content_i(a: IntPoly) -> int:
@@ -274,40 +223,21 @@ _P = (1 << 31) - 1  # Mersenne prime modulus of the coprimality certificate
 
 
 def _gcd_degree_mod_p(a: IntPoly, b: IntPoly) -> int:
-    """Degree of gcd(a mod P, b mod P) over GF(P).
+    """Degree of gcd(a mod P, b mod P) over GF(P), by Euclid in numpy int64.
 
     P must divide neither leading coefficient, so the images keep the
-    degrees of a and b.  Operands of at least _PACK_MIN terms run in numpy
-    int64: residues are below 2^31, so every product stays below 2^62.
+    degrees of a and b.  Residues are below 2^31, so every product of two
+    stays below 2^62.
     """
-    a = [c % _P for c in a]
-    b = [c % _P for c in b]
-    if len(a) < len(b):
-        a, b = b, a
-    if len(b) >= _PACK_MIN:
-        return _gcd_degree_np(a, b)
-    while b:
-        db = len(b) - 1
-        inv = pow(b[-1], -1, _P)
-        body = b[:-1]
-        for i in range(len(a) - 1, db - 1, -1):
-            q = a.pop() * inv % _P
-            if q:
-                off = i - db
-                a[off:i] = [(x - q * y) % _P for x, y in zip(a[off:i], body)]
-        a, b = b, _trim(a)
-    return len(a) - 1
-
-
-def _gcd_degree_np(a: IntPoly, b: IntPoly) -> int:
-    """_gcd_degree_mod_p on residue lists, len(a) >= len(b) > 0, in numpy."""
     # numpy is imported here, not at module level: the package loads it
     # anyway (state_system), but a module-level import here, ahead of the
     # modules that follow, raised the resident set of the imported CLI by
     # about 0.6 MB, which every forked command carries.
     import numpy as np
 
-    a, b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+    a = np.array([c % _P for c in a], dtype=np.int64)
+    b = np.array([c % _P for c in b], dtype=np.int64)
+    # a shorter than b passes the first step unreduced, which swaps them
     while b.size:
         db = b.size - 1
         inv = pow(int(b[-1]), -1, _P)
@@ -690,12 +620,6 @@ def real_roots_positive(
 # ---------------------------------------------------------------------------
 # Exact solve of sparse polynomial systems, packed at one point
 # ---------------------------------------------------------------------------
-
-
-def _value(p: IntPoly, nb: int) -> int:
-    """p(2^k) for k = 8 nb bits, exact whatever the size of the coefficients."""
-    k = 8 * nb
-    return sum([c << (k * i) for i, c in enumerate(p) if c])
 
 
 def _digits(v: int, nb: int) -> IntPoly:

@@ -4,9 +4,12 @@
 matrices on coefficient lists that the packed solve replaced, and
 ``poly_mat_det`` the determinant it gives; the packed solver and the
 state-system determinants are checked against them.
+``gcd_degree_mod_p_list`` is Euclid over GF(P) on residue lists, the
+loop that the numpy kernel of the coprimality certificate replaced.
 """
 
 from bounded_catalan.polynomial_algebra import (
+    _P,
     ExactPoly,
     SingularBlockError,
     _divexact_i,
@@ -131,3 +134,25 @@ def poly_mat_det(mat):
     except SingularBlockError:
         return ExactPoly.zero()
     return ExactPoly(det)
+
+
+def gcd_degree_mod_p_list(a, b):
+    """Degree of gcd(a mod P, b mod P) over GF(P), P = 2^31 - 1, by Euclid
+    on residue lists; P must divide neither leading coefficient."""
+    a = [c % _P for c in a]
+    b = [c % _P for c in b]
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        db = len(b) - 1
+        inv = pow(b[-1], -1, _P)
+        body = b[:-1]
+        for i in range(len(a) - 1, db - 1, -1):
+            q = a.pop() * inv % _P
+            if q:
+                off = i - db
+                a[off:i] = [(x - q * y) % _P for x, y in zip(a[off:i], body)]
+        while a and a[-1] == 0:
+            a.pop()
+        a, b = b, a
+    return len(a) - 1

@@ -1,12 +1,13 @@
-"""The packed-integer kernels against the list loops they replace.
+"""The polynomial kernels against plain reference loops.
 
-``_mul_i`` and ``_divexact_i`` pack long operands into one integer each
-(Kronecker substitution) and ``_descartes`` counts sign variations after
-two Taylor shifts.  The references below are the coefficient loops and
-the homogeneous Horner composition that the package used before: a
-schoolbook product, a long division that raises on the first inexact
-step, and the expansion of (1+t)^d p((a + b t)/(1+t)) by polynomial
-products.
+``_mul_i`` packs long operands into one integer each (Kronecker
+substitution), ``_divexact_i`` is long division, ``_descartes`` counts
+sign variations after two Taylor shifts, and ``_gcd_degree_mod_p`` runs
+Euclid over GF(2^31 - 1) in numpy.  The references are a schoolbook
+product, a long division that raises on the first inexact step, the
+expansion of (1+t)^d p((a + b t)/(1+t)) by polynomial products (the
+homogeneous Horner composition the package used before), and Euclid on
+residue lists (``tests/reference.py``).
 """
 
 import random
@@ -19,9 +20,15 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-import bounded_catalan.polynomial_algebra as pa  # noqa: E402
 from bounded_catalan.gf_solver import generating_function  # noqa: E402
-from bounded_catalan.polynomial_algebra import _descartes, _divexact_i, _mul_i  # noqa: E402
+from bounded_catalan.polynomial_algebra import (  # noqa: E402
+    _P,
+    _descartes,
+    _divexact_i,
+    _gcd_degree_mod_p,
+    _mul_i,
+)
+from reference import gcd_degree_mod_p_list  # noqa: E402
 
 
 def ref_mul(a, b):
@@ -153,37 +160,52 @@ def test_divexact_agrees_with_long_division(a, b):
         assert _divexact_i(a, b) == want
 
 
-def test_divexact_doubles_the_slot(monkeypatch):
-    """(1+x)^40 (1-x)^40 / (1-x)^40: the quotient needs a wider slot than
-    the dividend, so the first packed division fails its check."""
-    widths = []
-    pack = pa._pack
-    monkeypatch.setattr(pa, "_pack", lambda a, nb: widths.append(nb) or pack(a, nb))
-    product = ref_mul(BINOMIAL_40, ALTERNATING_40)
-    assert _divexact_i(product, ALTERNATING_40) == BINOMIAL_40
-    assert len(set(widths)) == 2 and widths[-1] == 2 * widths[0]
-
-
-def test_divexact_half_integral_quotient_reaches_the_list_loop(monkeypatch):
-    """2 q = c with c(2^k) even but q not integral: every packed division
-    leaves no remainder, every unpacked quotient fails its check, and the
-    list loop raises once the slot passes the Mignotte size."""
-    calls = []
-    loop = pa._divexact_list
-    monkeypatch.setattr(pa, "_divexact_list", lambda a, b: calls.append(1) or loop(a, b))
-    b = [2] + [1] * 19
-    c = [2] + [1] * 19
-    with pytest.raises(ArithmeticError):
-        _divexact_i(ref_mul(b, c), [2 * x for x in b])
-    assert calls == [1]
-
-
 def test_divexact_edge_cases():
     with pytest.raises(ZeroDivisionError):
         _divexact_i([1] * 20, [])
     assert _divexact_i([], [1] * 20) == []
     with pytest.raises(ArithmeticError):
         _divexact_i([1] * 12, [1] * 13)
+
+
+@st.composite
+def residue_operands(draw):
+    """An integer polynomial of 1..60 terms whose leading coefficient P
+    does not divide: random, of small coefficients (so that images share
+    factors), or with every coefficient below the leading one a multiple
+    of P (so that the image is a monomial)."""
+    kind = draw(st.sampled_from(["random", "small", "vanishing"]))
+    if kind == "random":
+        a = draw(polys(max_len=60, max_bits=130))
+    else:
+        n = draw(st.integers(1, 60))
+        small = st.integers(-3, 3)
+        a = draw(st.lists(small, min_size=n, max_size=n))
+        if kind == "vanishing":
+            a = [c * _P for c in a]
+        a[-1] = draw(small.filter(bool))
+    assume(a[-1] % _P)
+    return a
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    residue_operands(),
+    residue_operands(),
+    st.sampled_from([[1], [1, 1], [-2, 0, 1], [3, -1, 0, 5]]),
+)
+@example([7], [1] * 60, [1])
+@example([5 * _P, 0, 2], [_P, 3], [1])
+@example([-_P, 1], [_P] * 59 + [1], [1, 1])
+@example([1, 1] * 30, [1, -1, 1], [1])
+def test_gcd_degree_mod_p_matches_list_euclid(a, b, f):
+    """Both argument orders against the list loop, with a planted common
+    factor f on some draws so that the image gcd has positive degree."""
+    a, b = ref_mul(a, f), ref_mul(b, f)
+    want = gcd_degree_mod_p_list(a, b)
+    assert want >= len(f) - 1
+    assert _gcd_degree_mod_p(a, b) == want
+    assert _gcd_degree_mod_p(b, a) == want
 
 
 INTERVALS = [
