@@ -32,5 +32,5 @@ print(
 )
 
 out = Path(__file__).with_name(f"dependency_m{M}.dot")
-out.write_text(to_dot(sys_m))
+out.write_text("".join(to_dot(sys_m)))
 print(f"\nDOT graph written to {out.name}; render with: dot -Tpdf {out.name}")

@@ -20,14 +20,14 @@ inf; state (p, q) has index ``p_idx * (m+1) + q_idx``, which orders the
 states lexicographically with inf last.  Every entry of W is one monomial
 c_kp(k, p) * x^k, so W is stored compressed by target: the entries of
 target t occupy positions ``pred_ptr[t]:pred_ptr[t+1]`` of ``pred_src``
-(source index), ``pred_deg`` (the degree k) and ``pred_cidx`` (the
-position ``(k-1) * (m+1) + p_idx`` of the coefficient in the flattened
-c_kp table ``coeffs``).  Within a target the split entries come in
-increasing k, then the append entry, whose coefficient 1 is the k = 1
-table row.  These arrays are the only stored form of W: the entry view,
-the component blocks (component_edges), the weighted periods and the DOT
-export all read them.  They are read-only and shared: build_system
-builds one system per m and caches it.
+(source index, int32), ``pred_deg`` (the degree k, int16) and
+``pred_cidx`` (the position ``(k-1) * (m+1) + p_idx`` of the coefficient
+in the flattened c_kp table ``coeffs``, int32).  Within a target the
+split entries come in increasing k, then the append entry, whose
+coefficient 1 is the k = 1 table row.  These arrays are the only stored
+form of W: the entry view, the component blocks (component_edges), the
+weighted periods and the DOT export all read them.  They are read-only
+and shared: build_system builds one system per m and caches it.
 
 The numeric growth path needs no build.  cyclic_members gives the
 states of the cyclic components U, V and I from the paper's structure
@@ -38,7 +38,7 @@ from the c_kp table in O(m^2), against the O(m^3) entries of W.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from math import inf
@@ -161,33 +161,28 @@ def thresholds(m: int) -> list:
     return list(range(m)) + [INF]
 
 
-def is_append_edge(sys: StateSystem, target: State, source: State) -> bool:
-    """True when the edge source -> target is the append-last-maximum edge,
-    i.e. source = (p - 1, m - 1) for target (p, q)."""
-    p = target[0]
-    return source == ((p - 1) if p != INF else INF, sys.m - 1)
-
-
 # Largest m for which W is built: W has O(m^3) entries (13.6 million at
-# m = 300).  A cold ``graph --m 300`` takes 6.6-7.7 s and a peak RSS of
-# 1.13 GB with ``--format plain``, and 36 s and 3.55 GB with the default
-# ``--format dot``, on a 2-core Intel Xeon (Python 3.11).
+# m = 300).  A cold ``graph`` peaks at 92 MB RSS at m = 150 and 472 MB at
+# m = 300 in either format, and takes 0.65 s and 3.1-4.7 s with
+# ``--format plain``, 1.3 s and 9-12.5 s with ``--format dot`` (2-core
+# Intel Xeon, Python 3.11).  The build sets the peak; the DOT is written
+# as it goes.
 MAX_GRAPH_M = 300
 
 
 def check_graph_range(m: int) -> None:
     """Raise ValueError for m > MAX_GRAPH_M, where ``graph`` would take
-    more than 1.13 GB (plain) or 3.55 GB (DOT)."""
+    more than 472 MB and, with DOT output, 9 s."""
     if m > MAX_GRAPH_M:
         raise ValueError(
             f"m={m} exceeds MAX_GRAPH_M={MAX_GRAPH_M}, the largest m whose state "
-            "system W is built (W has O(m^3) entries: at m = 300, graph takes "
-            "1.13 GB with --format plain and 3.55 GB with --format dot)"
+            "system W is built (W has O(m^3) entries: at m = 300, graph peaks at "
+            "472 MB and takes 3-5 s with --format plain and 9-13 s with --format dot)"
         )
 
 
 # Cached, so that every caller of one m in a process shares one build;
-# bounded, because a system holds O(m^3) entries (330 MB at m = 300) and
+# bounded, because a system holds O(m^3) entries (137 MB at m = 300) and
 # a process that builds many m (the test suite, a library loop) should
 # not keep them all alive.
 @lru_cache(maxsize=8)
@@ -216,11 +211,13 @@ def build_system(m: int) -> StateSystem:
     positive = np.array([c > 0 for c in coeffs])
 
     # Slots of one target row: for each q_idx, split slots k = 1..min(q, m)
-    # (all m of them for q = inf), then one append slot.
+    # (all m of them for q = inf), then one append slot.  Indices and
+    # coefficient positions (below n <= 301^2) are int32, degrees int16.
     q = np.arange(n1, dtype=np.int32)
     slots = np.where(q == m, m, q) + 1
     row_q = np.repeat(q, slots)
-    k = np.arange(len(row_q), dtype=np.int32) - np.repeat(np.cumsum(slots) - slots, slots) + 1
+    starts = np.cumsum(slots, dtype=np.int32) - slots
+    k = np.arange(len(row_q), dtype=np.int32) - np.repeat(starts, slots) + 1
     append = k == slots[row_q]
     split_src = (m - k) * n1 + np.where(row_q == m, m, row_q - k)
 
@@ -230,8 +227,9 @@ def build_system(m: int) -> StateSystem:
     keep = np.where(append, p >= 1, positive[cidx])
     tgt = np.broadcast_to(p * n1 + row_q, keep.shape)[keep]
     src = np.where(append, append_src, split_src)[keep]
-    deg = np.broadcast_to(np.where(append, 1, k), keep.shape)[keep]
+    deg = np.broadcast_to(np.where(append, 1, k).astype(np.int16), keep.shape)[keep]
     cidx = cidx[keep]
+    del keep
 
     keys = np.sort(tgt.astype(np.int64) * n + src)
     dup = np.flatnonzero(keys[1:] == keys[:-1])
@@ -239,6 +237,7 @@ def build_system(m: int) -> StateSystem:
     if dup.size:
         t, s = divmod(int(keys[dup[0]]), n)
         raise StructureError(f"duplicate matrix entry for {states[t]} <- {states[s]}")
+    del keys
 
     sys = StateSystem(
         m=m,
@@ -253,10 +252,10 @@ def build_system(m: int) -> StateSystem:
     self_loop = np.zeros(n, dtype=bool)
     self_loop[tgt[tgt == src]] = True
     # Tarjan walks the edges by source, targets increasing (a stable sort);
-    # its lists are temporaries that die before the weighted periods run
+    # a memoryview keeps its targets at 4 bytes each
     raw = _tarjan_sccs(
         _offsets(np.bincount(src, minlength=n)).tolist(),
-        tgt[np.argsort(src, kind="stable")].tolist(),
+        memoryview(tgt[np.argsort(src, kind="stable")]),
     )
     sys.sccs = _decompose(sys, raw, self_loop)
     return sys
@@ -352,7 +351,7 @@ def component_product(m: int, tag: str) -> ComponentProduct:
     return ComponentProduct(len(members), at)
 
 
-def _tarjan_sccs(ptr: list[int], targets: list[int]) -> list[list[int]]:
+def _tarjan_sccs(ptr: list[int], targets: Sequence[int]) -> list[list[int]]:
     """Iterative Tarjan on a graph in CSR form (the successors of v are
     targets[ptr[v]:ptr[v+1]]); components come out in reverse topological
     order."""
@@ -588,40 +587,37 @@ def _state_name(s: State) -> str:
     return f"({p},{q})"
 
 
-def to_dot(sys: StateSystem) -> str:
-    """DOT rendering of the dependency graph.
+def to_dot(sys: StateSystem) -> Iterator[str]:
+    """DOT rendering of the dependency graph, as text chunks to write in turn.
 
+    The first chunk holds the header, the cluster and the node lines; then
+    one chunk per target state holds its in-edges, sources increasing
+    (empty for a target without entries), and the last chunk is ``}\n``.
     Split-edges are dotted red with a ``k=<k>`` label, append-edges solid
-    blue; the cyclic components are enclosed in dashed clusters.
+    blue, and the cyclic components sit in dashed clusters.  A target's
+    append entry is its last one when p_idx >= 1, and its sources do not
+    repeat (build_system checks it), so sorting its entries by source
+    orders its edges.
     """
     lines = [f"digraph dependency_m{sys.m} {{", "  rankdir=LR;"]
-    cluster = 0
     clustered = set()
-    for comp in sys.sccs:
-        if not comp.cyclic:
-            continue
-        name = comp.tag if comp.tag else f"C{cluster}"
-        lines.append(f"  subgraph cluster_{name} {{")
-        lines.append("    style=dashed;")
-        lines.append(f'    label="{name}";')
-        for s in comp.members:
-            lines.append(f'    "{_state_name(s)}";')
-            clustered.add(s)
+    for cluster, comp in enumerate(c for c in sys.sccs if c.cyclic):
+        name = comp.tag or f"C{cluster}"
+        lines += [f"  subgraph cluster_{name} {{", "    style=dashed;", f'    label="{name}";']
+        lines += [f'    "{_state_name(s)}";' for s in comp.members]
         lines.append("  }")
-        cluster += 1
-    for s in sys.states:
-        if s not in clustered:
-            lines.append(f'  "{_state_name(s)}";')
+        clustered.update(comp.members)
+    lines += [f'  "{_state_name(s)}";' for s in sys.states if s not in clustered]
+    yield "\n".join(lines) + "\n"
     names = [_state_name(s) for s in sys.states]
-    targets = _targets(sys)
-    order = np.lexsort((sys.pred_src, targets))  # by target, then by source
-    for t_i, s_i, degree in zip(
-        targets[order].tolist(), sys.pred_src[order].tolist(), sys.pred_deg[order].tolist()
-    ):
-        if is_append_edge(sys, sys.states[t_i], sys.states[s_i]):
-            style = "style=solid,color=blue"
-        else:
-            style = f'style=dotted,color=red,label="k={degree}"'
-        lines.append(f'  "{names[s_i]}" -> "{names[t_i]}" [{style}];')
-    lines.append("}")
-    return "\n".join(lines)
+    ptr = sys.pred_ptr.tolist()
+    for t, target in enumerate(names):
+        lo, hi = ptr[t], ptr[t + 1]
+        styles = [f'style=dotted,color=red,label="k={k}"' for k in sys.pred_deg[lo:hi].tolist()]
+        if t > sys.m:  # p_idx >= 1: the append entry is stored last
+            styles[-1] = "style=solid,color=blue"
+        yield "".join(
+            f'  "{names[s]}" -> "{target}" [{style}];\n'
+            for s, style in sorted(zip(sys.pred_src[lo:hi].tolist(), styles))
+        )
+    yield "}\n"

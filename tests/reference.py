@@ -6,7 +6,10 @@ matrices on coefficient lists that the packed solve replaced, and
 state-system determinants are checked against them.
 ``gcd_degree_mod_p_list`` is Euclid over GF(P) on residue lists, the
 loop that the numpy kernel of the coprimality certificate replaced.
+``traced_peak`` is the tracemalloc measure that the memory tests share.
 """
+
+import tracemalloc
 
 from bounded_catalan.polynomial_algebra import (
     _P,
@@ -156,3 +159,18 @@ def gcd_degree_mod_p_list(a, b):
             a.pop()
         a, b = b, a
     return len(a) - 1
+
+
+def traced_peak(fn, *args):
+    """tracemalloc peak of fn(*args) above the memory traced before it."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()

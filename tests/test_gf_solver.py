@@ -2,7 +2,6 @@
 
 import hashlib
 import sys
-import tracemalloc
 import types
 from fractions import Fraction
 from math import inf
@@ -25,6 +24,7 @@ from bounded_catalan.polynomial_algebra import (
     series_coeffs,
 )
 from bounded_catalan.state_system import build_system
+from reference import traced_peak
 
 A2_SEQ = [1, 1, 2, 5, 8, 12, 18, 26, 37, 53, 76, 109]
 A3_SEQ = [1, 1, 2, 5, 14, 28, 55, 108, 214, 412, 787, 1497, 2841, 5364, 10088]
@@ -268,21 +268,6 @@ def test_dp_window_differential_hypothesis():
             assert row == reference[state] == full[state], (m, n_max, state)
 
     check()
-
-
-def traced_peak(fn, *args):
-    """tracemalloc peak of fn(*args) above the memory traced before it."""
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
 
 
 def test_dp_memory_is_the_ring():

@@ -1,7 +1,10 @@
 """Array-form W: differential checks against per-entry construction,
 sharing of one cached build, and byte-stable graph output."""
 
+import hashlib
+import io
 import json
+from collections import deque
 from math import inf
 from pathlib import Path
 
@@ -12,10 +15,24 @@ from bounded_catalan.core_combinatorics import c_kp, c_kp_table, catalan
 from bounded_catalan.gf_solver import generating_function
 from bounded_catalan.growth_analysis import check_numeric_range, growth_constants
 from bounded_catalan.polynomial_algebra import ExactPoly
-from bounded_catalan.state_system import build_system, component_matrix, thresholds
+from bounded_catalan.state_system import build_system, component_matrix, thresholds, to_dot
+from reference import traced_peak
 
 # `graph --m M` output for M = 2..6, recorded from the dict-based W
 GRAPH_GOLDENS = json.loads(Path(__file__).with_name("graph_goldens.json").read_text())
+
+# sha256 of `graph --m M` stdout past the goldens, recorded from the
+# whole-W DOT writer: m = 1 has the untagged C0/C1 clusters
+GRAPH_SHA256 = {
+    (1, "plain"): "e1d6d3403c45af16d82a93b00bfd7941a6241d4b129350bc782f09177e0b5cf4",
+    (1, "dot"): "dcdb6bb9d1bbf7f90d6a500cce316e749d69a8120bfb23c35a3f216e72567f4e",
+    (20, "plain"): "c8b0aa5e1bf0ecedbd5ab0f0ed3853db9653fdbbe030e22a7840c23c04ba9773",
+    (20, "dot"): "8014bf5df3babc1c7a091a79c66d1b5300e41e156c27f2e71a3c188b05f7e578",
+    (60, "plain"): "4e8b712bb1ec2ed721f605fd3e57c3c74d36ca48c79e9b71864c0820878f53d7",
+    (60, "dot"): "f00409c384f458e020f0b32d7875ea3fa251d76ab53cc778fe879e01ad082890",
+    (150, "plain"): "887f94e92c90e2f0f014f99475647d84cc8c2e7027c7323ce20976d83cb865d2",
+    (150, "dot"): "03b83cbd8ad23b6d144b68117c133b3c21423f38dab74580c8925b16ce6c9f28",
+}
 
 
 def reference_entries(m):
@@ -158,3 +175,48 @@ def test_growth_beyond_float_range_exits_2_without_building(capsys, monkeypatch,
     monkeypatch.setattr(growth_analysis, "component_product", refuse)  # no search at 520
     assert cli.main(argv) == 2
     assert "m <= 519" in capsys.readouterr().err
+
+
+class _HashSink(io.TextIOBase):
+    """A stdout that keeps only the sha256 of what is written to it."""
+
+    def __init__(self):
+        self.digest = hashlib.sha256()
+
+    def write(self, text):
+        self.digest.update(text.encode())
+        return len(text)
+
+
+@pytest.mark.parametrize(("m", "fmt"), sorted(GRAPH_SHA256))
+def test_graph_output_matches_recorded_sha256(monkeypatch, m, fmt):
+    sink = _HashSink()
+    monkeypatch.setattr("sys.stdout", sink)
+    assert cli.main(["graph", "--m", str(m), "--format", fmt]) == 0
+    assert sink.digest.hexdigest() == GRAPH_SHA256[(m, fmt)]
+
+
+def test_dot_streams_in_bounded_memory():
+    """Written chunk by chunk into a sink that keeps nothing, the DOT of
+    m = 60 (7.2 MB) peaks near 0.8 MB above the built system: the state
+    names and one target's edges at a time.  Joining every edge line
+    into one string first peaks near 26 MB."""
+    sys60 = build_system(60)
+    size = sum(map(len, to_dot(sys60)))
+    peak = traced_peak(lambda: deque(to_dot(sys60), maxlen=0))
+    assert peak < size / 4, (peak, size)
+
+
+def test_build_keeps_compact_arrays():
+    """build_system(60) keeps 10 bytes an entry (int32 sources and
+    coefficient positions, int16 degrees) and peaks near 40 bytes an
+    entry while it builds.  int64 arrays took 24 bytes an entry, and
+    with Tarjan's by-source lists of Python ints the build peaked near
+    86."""
+    build_system.cache_clear()
+    peak = traced_peak(build_system, 60)
+    sys60 = build_system(60)
+    entries = len(sys60.pred_src)
+    held = sum(a.nbytes for a in (sys60.pred_src, sys60.pred_deg, sys60.pred_cidx))
+    assert held == 10 * entries
+    assert peak < 60 * entries, (peak, entries)

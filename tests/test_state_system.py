@@ -186,7 +186,7 @@ def test_full_determinant_factors_into_cyclic_components(m):
 
 
 def test_dot_export_m2():
-    dot = to_dot(build_system(2))
+    dot = "".join(to_dot(build_system(2)))
     assert dot.count("style=dashed") == 3
     import re
 
